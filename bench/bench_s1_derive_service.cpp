@@ -74,8 +74,10 @@ const std::vector<core::CachedCampaign>& cache_entries() {
     core::Toolkit toolkit;
     server::DeriveServer srv(toolkit, {});
     serve_trace(srv);
-    const std::string image = server::encode_cache_file(toolkit.export_campaigns());
-    return server::decode_cache_file(image).value();
+    server::CacheImage cache;
+    cache.campaigns = toolkit.export_campaigns();
+    const std::string image = server::encode_cache_file(cache);
+    return server::decode_cache_file(image).value().campaigns;
   }();
   return entries;
 }

@@ -97,11 +97,13 @@ int main() {
 
   // Restarted service: warm a fresh toolkit from the serialized spec cache;
   // the same trace now costs zero probes.
-  const std::string image = server::encode_cache_file(toolkit.export_campaigns());
+  server::CacheImage cache;
+  cache.campaigns = toolkit.export_campaigns();
+  const std::string image = server::encode_cache_file(cache);
   core::Toolkit restarted;
   const auto entries = server::decode_cache_file(image);
   assert(entries.ok());
-  const std::size_t admitted = restarted.import_campaigns(entries.value());
+  const std::size_t admitted = restarted.import_campaigns(entries.value().campaigns);
   std::printf("spec cache: %zu bytes on the wire, %zu entries admitted\n\n", image.size(),
               admitted);
   const std::uint64_t warm_probes = serve_concurrently(restarted, "restarted server, cache-warmed");

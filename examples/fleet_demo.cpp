@@ -29,7 +29,7 @@ int main() {
   std::size_t binary = 0;
   std::size_t bytes = 0;
   for (const auto& doc : documents) {
-    if (fleet::is_binary_document(doc)) ++binary;
+    if (fleet::record::sniff(doc) == fleet::record::Kind::kProfile) ++binary;
     bytes += doc.size();
   }
   std::printf("fleet: %u hosts emitted %zu documents (%zu binary, %zu XML, %zu bytes)\n\n",

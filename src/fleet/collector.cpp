@@ -75,7 +75,7 @@ void FleetCollector::fold(const profile::ProfileReport& report) {
   aggregated_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FleetCollector::fold_dossier(const incident::Dossier& dossier) {
+void FleetCollector::fold(const incident::Dossier& dossier) {
   const std::string key = simlib::to_string(dossier.detector) + " " + dossier.symbol;
   {
     AggShard& shard = *agg_[fnv1a(key) % agg_.size()];
@@ -85,7 +85,7 @@ void FleetCollector::fold_dossier(const incident::Dossier& dossier) {
   aggregated_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FleetCollector::fold_surface(const debloat::SurfaceProfile& profile) {
+void FleetCollector::fold(const debloat::SurfaceProfile& profile) {
   AggShard& shard = *agg_[fnv1a(profile.executable) % agg_.size()];
   {
     std::lock_guard lock(shard.mutex);
@@ -136,66 +136,40 @@ void FleetCollector::flush() {
         std::lock_guard lock(error_mutex_);
         if (first_error_.empty()) first_error_ = message;
       };
+      const auto ingest = [this, &reject](const auto& decoded) {
+        if (decoded.ok()) {
+          fold(decoded.value());
+        } else {
+          reject(decoded.error().message);
+        }
+      };
       for (std::size_t i = begin; i < end; ++i) {
         const std::string& payload = claimed[i];
-        // Dossiers and profiles share the pipe; sniff binary documents by
-        // magic and XML documents by root element (parsed once).
-        if (is_dossier_binary(payload)) {
-          auto dossier = decode_dossier_binary(payload);
-          if (!dossier.ok()) {
-            reject(dossier.error().message);
+        // Dossiers, surface profiles and profiles share the pipe; binary
+        // documents dispatch on their magic, XML on the root element.
+        switch (record::sniff(payload)) {
+          case record::Kind::kProfile:
+            ingest(record::decode<profile::ProfileReport>(payload));
             continue;
-          }
-          fold_dossier(dossier.value());
-          continue;
-        }
-        if (is_surface_binary(payload)) {
-          auto surface = decode_surface_binary(payload);
-          if (!surface.ok()) {
-            reject(surface.error().message);
+          case record::Kind::kDossier:
+            ingest(record::decode<incident::Dossier>(payload));
             continue;
-          }
-          fold_surface(surface.value());
-          continue;
-        }
-        if (is_binary_document(payload)) {
-          auto report = decode_binary(payload);
-          if (!report.ok()) {
-            reject(report.error().message);
+          case record::Kind::kSurface:
+            ingest(record::decode<debloat::SurfaceProfile>(payload));
             continue;
-          }
-          fold(report.value());
-          continue;
+          default:
+            break;
         }
         auto parsed = xml::parse(payload);
         if (!parsed.ok()) {
           reject("xml document: " + parsed.error().message);
-          continue;
+        } else if (parsed.value().name() == "dossier") {
+          ingest(incident::from_xml(parsed.value()));
+        } else if (parsed.value().name() == "surface-profile") {
+          ingest(debloat::surface_from_xml(parsed.value()));
+        } else {
+          ingest(profile::from_xml(parsed.value()));
         }
-        if (parsed.value().name() == "dossier") {
-          auto dossier = incident::from_xml(parsed.value());
-          if (!dossier.ok()) {
-            reject(dossier.error().message);
-            continue;
-          }
-          fold_dossier(dossier.value());
-          continue;
-        }
-        if (parsed.value().name() == "surface-profile") {
-          auto surface = debloat::surface_from_xml(parsed.value());
-          if (!surface.ok()) {
-            reject(surface.error().message);
-            continue;
-          }
-          fold_surface(surface.value());
-          continue;
-        }
-        auto report = profile::from_xml(parsed.value());
-        if (!report.ok()) {
-          reject(report.error().message);
-          continue;
-        }
-        fold(report.value());
       }
     });
   }

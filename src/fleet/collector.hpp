@@ -136,8 +136,8 @@ class FleetCollector {
   };
 
   void fold(const profile::ProfileReport& report);
-  void fold_dossier(const incident::Dossier& dossier);
-  void fold_surface(const debloat::SurfaceProfile& profile);
+  void fold(const incident::Dossier& dossier);
+  void fold(const debloat::SurfaceProfile& profile);
 
   CollectorConfig config_;
   std::vector<std::unique_ptr<IngestShard>> ingest_;

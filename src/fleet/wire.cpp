@@ -1,358 +1,34 @@
 #include "fleet/wire.hpp"
 
-#include <cstdint>
-#include <limits>
-
 #include "xml/xml.hpp"
 
 namespace healers::fleet {
 
-namespace codec {
+std::string encode_binary(const profile::ProfileReport& report) { return record::encode(report); }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffU));
-  }
+std::string encode_dossier_binary(const incident::Dossier& dossier) {
+  return record::encode(dossier);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffU));
-  }
-}
-
-void put_str(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-std::uint32_t Cursor::u32() {
-  std::uint32_t v = 0;
-  if (!take(4)) return 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ - 4 + i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t Cursor::u64() {
-  std::uint64_t v = 0;
-  if (!take(8)) return 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ - 8 + i])) << (8 * i);
-  }
-  return v;
-}
-
-std::string Cursor::str() {
-  const std::uint32_t len = u32();
-  if (!take(len)) return {};
-  return std::string(data_.substr(pos_ - len, len));
-}
-
-bool Cursor::take(std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  pos_ += n;
-  return true;
-}
-
-}  // namespace codec
-
-using codec::Cursor;
-using codec::put_str;
-using codec::put_u32;
-using codec::put_u64;
-
-std::string encode_binary(const profile::ProfileReport& report) {
-  std::string out;
-  out.append(kBinaryMagic);
-  put_str(out, report.process);
-  put_str(out, report.wrapper);
-  put_u32(out, static_cast<std::uint32_t>(report.functions.size()));
-  for (const profile::FunctionProfile& fn : report.functions) {
-    put_str(out, fn.symbol);
-    put_u64(out, fn.calls);
-    put_u64(out, fn.cycles);
-    put_u64(out, fn.contained);
-    put_u32(out, static_cast<std::uint32_t>(fn.errno_counts.size()));
-    for (const auto& [err, count] : fn.errno_counts) {
-      put_u32(out, static_cast<std::uint32_t>(err));
-      put_u64(out, count);
-    }
-  }
-  put_u32(out, static_cast<std::uint32_t>(report.global_errnos.size()));
-  for (const auto& [err, count] : report.global_errnos) {
-    put_u32(out, static_cast<std::uint32_t>(err));
-    put_u64(out, count);
-  }
-  return out;
-}
-
-Result<profile::ProfileReport> decode_binary(std::string_view payload) {
-  if (!is_binary_document(payload)) return Error("binary document: bad magic");
-  Cursor cur(payload.substr(kBinaryMagic.size()));
-  profile::ProfileReport report;
-  report.process = cur.str();
-  report.wrapper = cur.str();
-  const std::uint32_t nfunctions = cur.u32();
-  // Cheap sanity bound before reserving: every function costs >= 32 bytes.
-  if (!cur.ok() || nfunctions > payload.size()) {
-    return Error("binary document: truncated header");
-  }
-  report.functions.reserve(nfunctions);
-  for (std::uint32_t i = 0; i < nfunctions && cur.ok(); ++i) {
-    profile::FunctionProfile fn;
-    fn.symbol = cur.str();
-    fn.calls = cur.u64();
-    fn.cycles = cur.u64();
-    fn.contained = cur.u64();
-    const std::uint32_t nerrnos = cur.u32();
-    for (std::uint32_t e = 0; e < nerrnos && cur.ok(); ++e) {
-      const int err = static_cast<std::int32_t>(cur.u32());
-      fn.errno_counts[err] += cur.u64();
-    }
-    report.functions.push_back(std::move(fn));
-  }
-  const std::uint32_t nglobal = cur.u32();
-  for (std::uint32_t e = 0; e < nglobal && cur.ok(); ++e) {
-    const int err = static_cast<std::int32_t>(cur.u32());
-    report.global_errnos[err] += cur.u64();
-  }
-  if (!cur.ok()) return Error("binary document: truncated");
-  if (!cur.at_end()) return Error("binary document: trailing bytes");
-  return report;
+std::string encode_surface_binary(const debloat::SurfaceProfile& profile) {
+  return record::encode(profile);
 }
 
 Result<profile::ProfileReport> decode_document(std::string_view payload) {
-  if (is_binary_document(payload)) return decode_binary(payload);
+  if (record::sniff(payload) == record::Kind::kProfile) {
+    return record::decode<profile::ProfileReport>(payload);
+  }
   auto parsed = xml::parse(payload);
   if (!parsed.ok()) return Error("xml document: " + parsed.error().message);
   return profile::from_xml(parsed.value());
 }
 
-bool is_binary_document(std::string_view payload) noexcept {
-  return payload.substr(0, kBinaryMagic.size()) == kBinaryMagic;
-}
-
-std::string encode_dossier_binary(const incident::Dossier& dossier) {
-  std::string out;
-  out.append(kDossierMagic);
-  put_str(out, dossier.process);
-  put_u32(out, static_cast<std::uint32_t>(dossier.detector));
-  put_str(out, dossier.symbol);
-  put_str(out, dossier.detail);
-  put_u64(out, dossier.seq);
-  put_u64(out, dossier.tick);
-  put_u64(out, dossier.cycles);
-  put_u64(out, dossier.fault_addr);
-  put_u32(out, static_cast<std::uint32_t>(dossier.args.size()));
-  for (const std::string& arg : dossier.args) put_str(out, arg);
-  put_u32(out, static_cast<std::uint32_t>(dossier.trace.size()));
-  for (const incident::TraceEntry& entry : dossier.trace) {
-    put_u64(out, entry.seq);
-    put_u64(out, entry.tick);
-    put_u64(out, entry.cycles);
-    put_u64(out, entry.arg_digest);
-    put_u32(out, entry.argc);
-    put_str(out, entry.symbol);
-  }
-  put_str(out, dossier.heap_note);
-  put_u32(out, static_cast<std::uint32_t>(dossier.heap.size()));
-  for (const incident::ChunkState& chunk : dossier.heap) {
-    put_u64(out, chunk.header);
-    put_u64(out, chunk.user);
-    put_u64(out, chunk.size);
-    put_u32(out, (chunk.in_use ? 1U : 0U) | (chunk.suspect ? 2U : 0U));
-  }
-  put_u32(out, static_cast<std::uint32_t>(dossier.regions.size()));
-  for (const incident::RegionState& region : dossier.regions) {
-    put_u64(out, region.base);
-    put_u64(out, region.size);
-    put_u32(out, region.perm);
-    put_u32(out, region.suspect ? 1U : 0U);
-    put_str(out, region.kind);
-    put_str(out, region.label);
-  }
-  put_u32(out, static_cast<std::uint32_t>(dossier.repairs.size()));
-  for (const incident::RepairEvent& repair : dossier.repairs) {
-    put_u64(out, repair.seq);
-    put_u64(out, repair.tick);
-    put_u32(out, static_cast<std::uint32_t>(repair.action));
-    put_str(out, repair.symbol);
-    put_str(out, repair.detail);
-    put_u64(out, repair.fault_addr);
-    put_u64(out, repair.requested);
-    put_u64(out, repair.granted);
-  }
-  return out;
-}
-
-Result<incident::Dossier> decode_dossier_binary(std::string_view payload) {
-  if (!is_dossier_binary(payload)) return Error("binary dossier: bad magic");
-  Cursor cur(payload.substr(kDossierMagic.size()));
-  incident::Dossier dossier;
-  dossier.process = cur.str();
-  const std::uint32_t detector = cur.u32();
-  if (!cur.ok() ||
-      detector > static_cast<std::uint32_t>(simlib::DetectionKind::kSurfaceViolation)) {
-    return Error("binary dossier: bad detector");
-  }
-  dossier.detector = static_cast<simlib::DetectionKind>(detector);
-  dossier.symbol = cur.str();
-  dossier.detail = cur.str();
-  dossier.seq = cur.u64();
-  dossier.tick = cur.u64();
-  dossier.cycles = cur.u64();
-  dossier.fault_addr = cur.u64();
-  const std::uint32_t nargs = cur.u32();
-  if (!cur.ok() || nargs > payload.size()) return Error("binary dossier: truncated header");
-  for (std::uint32_t i = 0; i < nargs && cur.ok(); ++i) dossier.args.push_back(cur.str());
-  const std::uint32_t ntrace = cur.u32();
-  if (!cur.ok() || ntrace > payload.size()) return Error("binary dossier: truncated trace");
-  for (std::uint32_t i = 0; i < ntrace && cur.ok(); ++i) {
-    incident::TraceEntry entry;
-    entry.seq = cur.u64();
-    entry.tick = cur.u64();
-    entry.cycles = cur.u64();
-    entry.arg_digest = cur.u64();
-    entry.argc = cur.u32();
-    entry.symbol = cur.str();
-    dossier.trace.push_back(std::move(entry));
-  }
-  dossier.heap_note = cur.str();
-  const std::uint32_t nchunks = cur.u32();
-  if (!cur.ok() || nchunks > payload.size()) return Error("binary dossier: truncated heap");
-  for (std::uint32_t i = 0; i < nchunks && cur.ok(); ++i) {
-    incident::ChunkState chunk;
-    chunk.header = cur.u64();
-    chunk.user = cur.u64();
-    chunk.size = cur.u64();
-    const std::uint32_t flags = cur.u32();
-    chunk.in_use = (flags & 1U) != 0;
-    chunk.suspect = (flags & 2U) != 0;
-    dossier.heap.push_back(chunk);
-  }
-  const std::uint32_t nregions = cur.u32();
-  if (!cur.ok() || nregions > payload.size()) return Error("binary dossier: truncated regions");
-  for (std::uint32_t i = 0; i < nregions && cur.ok(); ++i) {
-    incident::RegionState region;
-    region.base = cur.u64();
-    region.size = cur.u64();
-    region.perm = static_cast<std::uint8_t>(cur.u32());
-    region.suspect = (cur.u32() & 1U) != 0;
-    region.kind = cur.str();
-    region.label = cur.str();
-    dossier.regions.push_back(std::move(region));
-  }
-  const std::uint32_t nrepairs = cur.u32();
-  if (!cur.ok() || nrepairs > payload.size()) return Error("binary dossier: truncated repairs");
-  for (std::uint32_t i = 0; i < nrepairs && cur.ok(); ++i) {
-    incident::RepairEvent repair;
-    repair.seq = cur.u64();
-    repair.tick = cur.u64();
-    const std::uint32_t action = cur.u32();
-    if (cur.ok() && action > static_cast<std::uint32_t>(simlib::RepairAction::kSafeReturn)) {
-      return Error("binary dossier: bad repair action");
-    }
-    repair.action = static_cast<simlib::RepairAction>(action);
-    repair.symbol = cur.str();
-    repair.detail = cur.str();
-    repair.fault_addr = cur.u64();
-    repair.requested = cur.u64();
-    repair.granted = cur.u64();
-    dossier.repairs.push_back(std::move(repair));
-  }
-  if (!cur.ok()) return Error("binary dossier: truncated");
-  if (!cur.at_end()) return Error("binary dossier: trailing bytes");
-  return dossier;
-}
-
-Result<incident::Dossier> decode_dossier(std::string_view payload) {
-  if (is_dossier_binary(payload)) return decode_dossier_binary(payload);
-  auto parsed = xml::parse(payload);
-  if (!parsed.ok()) return Error("xml dossier: " + parsed.error().message);
-  return incident::from_xml(parsed.value());
-}
-
-bool is_dossier_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kDossierMagic.size()) == kDossierMagic;
-}
-
-std::string encode_surface_binary(const debloat::SurfaceProfile& profile) {
-  std::string out;
-  out.append(kSurfaceMagic);
-  put_str(out, profile.host);
-  put_str(out, profile.executable);
-  put_u64(out, profile.exported);
-  put_u64(out, profile.reachable);
-  put_u64(out, profile.touched);
-  put_u64(out, profile.trapped);
-  put_u64(out, profile.resident_pages);
-  put_u64(out, profile.total_pages);
-  for (const std::vector<std::string>* list :
-       {&profile.reachable_symbols, &profile.touched_symbols, &profile.trapped_symbols}) {
-    put_u32(out, static_cast<std::uint32_t>(list->size()));
-    for (const std::string& symbol : *list) put_str(out, symbol);
-  }
-  return out;
-}
-
-Result<debloat::SurfaceProfile> decode_surface_binary(std::string_view payload) {
-  if (!is_surface_binary(payload)) return Error("binary surface profile: bad magic");
-  Cursor cur(payload.substr(kSurfaceMagic.size()));
-  debloat::SurfaceProfile profile;
-  profile.host = cur.str();
-  profile.executable = cur.str();
-  profile.exported = cur.u64();
-  profile.reachable = cur.u64();
-  profile.touched = cur.u64();
-  profile.trapped = cur.u64();
-  profile.resident_pages = cur.u64();
-  profile.total_pages = cur.u64();
-  for (std::vector<std::string>* list :
-       {&profile.reachable_symbols, &profile.touched_symbols, &profile.trapped_symbols}) {
-    const std::uint32_t count = cur.u32();
-    if (!cur.ok() || count > payload.size()) {
-      return Error("binary surface profile: truncated list");
-    }
-    for (std::uint32_t i = 0; i < count && cur.ok(); ++i) list->push_back(cur.str());
-  }
-  if (!cur.ok()) return Error("binary surface profile: truncated");
-  if (!cur.at_end()) return Error("binary surface profile: trailing bytes");
-  return profile;
-}
-
-Result<debloat::SurfaceProfile> decode_surface(std::string_view payload) {
-  if (is_surface_binary(payload)) return decode_surface_binary(payload);
-  return debloat::surface_from_xml(payload);
-}
-
-bool is_surface_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kSurfaceMagic.size()) == kSurfaceMagic;
-}
-
 std::string frame_stream(const std::vector<std::string>& documents) {
-  std::string out;
-  out.append(kStreamMagic);
-  put_u32(out, static_cast<std::uint32_t>(documents.size()));
-  for (const std::string& doc : documents) put_str(out, doc);
-  return out;
+  return record::encode(documents);
 }
 
 Result<std::vector<std::string>> unframe_stream(std::string_view stream) {
-  if (stream.substr(0, kStreamMagic.size()) != kStreamMagic) {
-    return Error("document stream: bad header");
-  }
-  Cursor cur(stream.substr(kStreamMagic.size()));
-  const std::uint32_t count = cur.u32();
-  std::vector<std::string> documents;
-  for (std::uint32_t i = 0; i < count && cur.ok(); ++i) documents.push_back(cur.str());
-  if (!cur.ok()) return Error("document stream: truncated");
-  if (!cur.at_end()) return Error("document stream: trailing bytes");
-  return documents;
+  return record::decode<std::vector<std::string>>(stream);
 }
 
 }  // namespace healers::fleet

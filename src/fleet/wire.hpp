@@ -2,144 +2,174 @@
 //
 // The paper ships profile documents as self-describing XML (§2.3). At fleet
 // scale the XML round-trip dominates ingest cost, so producers may instead
-// emit a compact length-prefixed binary encoding of the SAME ProfileReport:
+// emit a compact binary record of the SAME document: a profile report
+// (HFB1), a crash dossier (HDB1) or a surface profile (HSP1). Their layouts
+// are the Layout field lists below, run by the record engine
+// (fleet/record.hpp); decode_document() accepts either format for profiles
+// (binary by magic, XML otherwise) so a collector can serve a mixed fleet
+// during a rollout.
 //
-//   "HFB1"                                magic, 4 bytes
-//   str process, str wrapper              str = u32 length + bytes
-//   u32 nfunctions, per function:
-//     str symbol, u64 calls, u64 cycles, u64 contained,
-//     u32 nerrnos, per errno: i32 errno, u64 count
-//   u32 nglobal, per errno: i32 errno, u64 count
-//
-// All integers are little-endian and fixed-width. decode_document() accepts
-// either format (binary by magic, XML otherwise) so a collector can serve a
-// mixed fleet during a rollout. Both decoders are strict: truncated or
-// malformed payloads produce an error Result, never a partial report.
-//
-// A *document stream* is the on-disk/on-wire batch form: a "HFDS1\n" header
-// followed by u32-length-prefixed document payloads (each payload is one
-// XML or binary document).
-//
-// Crash dossiers (ISSUE 4) travel the same pipe as profiles. Their binary
-// form is "HDB1" followed by the dossier fields in declaration order:
-//
-//   "HDB1"                                magic, 4 bytes
-//   str process, u32 detector, str symbol, str detail
-//   u64 seq, u64 tick, u64 cycles, u64 fault_addr
-//   u32 nargs, per arg: str rendered value
-//   u32 ntrace, per entry:
-//     u64 seq, u64 tick, u64 cycles, u64 digest, u32 argc, str symbol
-//   str heap_note, u32 nchunks, per chunk:
-//     u64 header, u64 user, u64 size, u32 flags (bit0 in_use, bit1 suspect)
-//   u32 nregions, per region:
-//     u64 base, u64 size, u32 perm, u32 flags (bit0 suspect), str kind,
-//     str label
+// A *document stream* (HFDS1) is the on-disk/on-wire batch form: a list of
+// payloads, each one XML or binary document.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "debloat/surface.hpp"
+#include "fleet/record.hpp"
 #include "incident/dossier.hpp"
 #include "profile/report.hpp"
 #include "support/result.hpp"
 
 namespace healers::fleet {
 
-// The primitive wire codec every HEALERS binary format is built from:
-// little-endian fixed-width integers and u32-length-prefixed strings. Public
-// so other subsystems (the derivation server's spec cache and request
-// protocol) frame their documents the same way the fleet formats do.
-namespace codec {
-
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-void put_str(std::string& out, std::string_view s);
-
-// Bounds-checked read cursor over a binary payload. Every read either
-// succeeds completely or marks the cursor failed; callers check ok() once.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
-
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::string str();
-
- private:
-  bool take(std::size_t n);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-}  // namespace codec
-
 // Magic prefix of a binary profile document.
-inline constexpr std::string_view kBinaryMagic = "HFB1";
-// Magic prefix of a binary crash-dossier document.
-inline constexpr std::string_view kDossierMagic = "HDB1";
-// Magic prefix of a binary surface-profile document (docs/debloat.md):
-//
-//   "HSP1"                                magic, 4 bytes
-//   str host, str executable
-//   u64 exported, u64 reachable, u64 touched, u64 trapped
-//   u64 resident_pages, u64 total_pages
-//   u32 nreachable, per symbol: str
-//   u32 ntouched, per symbol: str
-//   u32 ntrapped, per symbol: str
-inline constexpr std::string_view kSurfaceMagic = "HSP1";
-// Header of a framed document stream.
-inline constexpr std::string_view kStreamMagic = "HFDS1\n";
+inline constexpr std::string_view kBinaryMagic = record::magic(record::Kind::kProfile).bytes;
 
-// Report -> compact binary document.
+// Report / dossier / surface profile -> compact binary document
+// (deterministic: equal documents encode byte-identically).
 [[nodiscard]] std::string encode_binary(const profile::ProfileReport& report);
-
-// Strict binary decoder (payload must start with kBinaryMagic).
-[[nodiscard]] Result<profile::ProfileReport> decode_binary(std::string_view payload);
-
-// Format-sniffing decoder: binary by magic, otherwise parsed as XML.
-[[nodiscard]] Result<profile::ProfileReport> decode_document(std::string_view payload);
-
-// True when the payload carries the binary magic.
-[[nodiscard]] bool is_binary_document(std::string_view payload) noexcept;
-
-// Dossier -> compact binary document (deterministic: identical dossiers
-// encode byte-identically).
 [[nodiscard]] std::string encode_dossier_binary(const incident::Dossier& dossier);
-
-// Strict binary dossier decoder (payload must start with kDossierMagic).
-[[nodiscard]] Result<incident::Dossier> decode_dossier_binary(std::string_view payload);
-
-// Format-sniffing dossier decoder: binary by magic, otherwise parsed as a
-// <dossier> XML document.
-[[nodiscard]] Result<incident::Dossier> decode_dossier(std::string_view payload);
-
-// True when the payload carries the binary dossier magic.
-[[nodiscard]] bool is_dossier_binary(std::string_view payload) noexcept;
-
-// Surface profile -> compact binary document (deterministic).
 [[nodiscard]] std::string encode_surface_binary(const debloat::SurfaceProfile& profile);
 
-// Strict binary surface-profile decoder (payload must start with
-// kSurfaceMagic).
-[[nodiscard]] Result<debloat::SurfaceProfile> decode_surface_binary(std::string_view payload);
-
-// Format-sniffing surface-profile decoder: binary by magic, otherwise
-// parsed as a <surface-profile> XML document.
-[[nodiscard]] Result<debloat::SurfaceProfile> decode_surface(std::string_view payload);
-
-// True when the payload carries the binary surface-profile magic.
-[[nodiscard]] bool is_surface_binary(std::string_view payload) noexcept;
+// Format-sniffing profile decoder: binary by magic, otherwise parsed as XML.
+[[nodiscard]] Result<profile::ProfileReport> decode_document(std::string_view payload);
 
 // Batch framing: documents -> one stream blob, and back.
 [[nodiscard]] std::string frame_stream(const std::vector<std::string>& documents);
 [[nodiscard]] Result<std::vector<std::string>> unframe_stream(std::string_view stream);
 
 }  // namespace healers::fleet
+
+namespace healers::fleet::record {
+
+template <>
+struct Layout<profile::FunctionProfile> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.symbol);
+    v.u64(r.calls);
+    v.u64(r.cycles);
+    v.u64(r.contained);
+    v.map(r.errno_counts);
+  }
+};
+
+template <>
+struct Layout<profile::ProfileReport> {
+  static constexpr Kind kKind = Kind::kProfile;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.process);
+    v.str(r.wrapper);
+    v.list(r.functions);
+    v.map(r.global_errnos);
+  }
+};
+
+template <>
+struct Layout<incident::TraceEntry> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u64(r.seq);
+    v.u64(r.tick);
+    v.u64(r.cycles);
+    v.u64(r.arg_digest);
+    v.u32(r.argc);
+    v.str(r.symbol);
+  }
+};
+
+template <>
+struct Layout<incident::ChunkState> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u64(r.header);
+    v.u64(r.user);
+    v.u64(r.size);
+    v.flags(r.in_use, r.suspect);
+  }
+};
+
+template <>
+struct Layout<incident::RegionState> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u64(r.base);
+    v.u64(r.size);
+    v.u32(r.perm);
+    v.flags(r.suspect);
+    v.str(r.kind);
+    v.str(r.label);
+  }
+};
+
+template <>
+struct Layout<incident::RepairEvent> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u64(r.seq);
+    v.u64(r.tick);
+    v.u32(r.action, simlib::RepairAction::kSafeReturn);
+    v.str(r.symbol);
+    v.str(r.detail);
+    v.u64(r.fault_addr);
+    v.u64(r.requested);
+    v.u64(r.granted);
+  }
+};
+
+template <>
+struct Layout<incident::Dossier> {
+  static constexpr Kind kKind = Kind::kDossier;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.process);
+    v.u32(r.detector, simlib::DetectionKind::kSurfaceViolation);
+    v.str(r.symbol);
+    v.str(r.detail);
+    v.u64(r.seq);
+    v.u64(r.tick);
+    v.u64(r.cycles);
+    v.u64(r.fault_addr);
+    v.list(r.args);
+    v.list(r.trace);
+    v.str(r.heap_note);
+    v.list(r.heap);
+    v.list(r.regions);
+    v.list(r.repairs);
+  }
+};
+
+template <>
+struct Layout<debloat::SurfaceProfile> {
+  static constexpr Kind kKind = Kind::kSurface;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.host);
+    v.str(r.executable);
+    v.u64(r.exported);
+    v.u64(r.reachable);
+    v.u64(r.touched);
+    v.u64(r.trapped);
+    v.u64(r.resident_pages);
+    v.u64(r.total_pages);
+    v.list(r.reachable_symbols);
+    v.list(r.touched_symbols);
+    v.list(r.trapped_symbols);
+  }
+};
+
+// The document stream: a plain list of payloads.
+template <>
+struct Layout<std::vector<std::string>> {
+  static constexpr Kind kKind = Kind::kStream;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.list(r);
+  }
+};
+
+}  // namespace healers::fleet::record

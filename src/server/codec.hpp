@@ -1,55 +1,89 @@
-// Binary codec for campaign results (the derivation server's payload
-// format, ISSUE 5).
+// Binary campaign records (the derivation server's payload format, ISSUE 5).
 //
 // Robust-API specs already serialize as self-describing XML (§3.1
 // declaration files); at service scale the XML round-trip dominates a warm
 // response, so the server can ship the SAME injector::CampaignResult as a
-// compact length-prefixed binary document built on fleet/wire's codec
-// primitives (HDB-style, like the dossier format):
-//
-//   "HCB1"                                 magic, 4 bytes
-//   str library, u64 seed, u32 nspecs, per spec:
-//     str function, str library, str declaration
-//     u64 probes, u64 failures, u64 crashes, u64 hangs, u64 aborts
-//     u32 flags (bit0 skipped_noreturn)
-//     u32 nargs, per arg:
-//       u32 index, str ctype, u32 class
-//       u32 check bits (bit0 nonnull, bit1 mapped, bit2 writable,
-//           bit3 terminated, bit4 size, bit5 heapptr, bit6 file,
-//           bit7 callback, bit8 has-range), if has-range: i64 lo, i64 hi
-//       u32 nverdicts, per verdict:
-//         u32 type id, u32 probes, u32 failures, u32 crashes, u32 hangs,
-//         u32 aborts, str first_failure
-//
-// str = u32 length + bytes; all integers little-endian fixed-width; i64 is
-// the two's-complement image in a u64. The decoder is strict: truncated or
-// malformed payloads produce an error Result, never a partial campaign.
-// Encoding is deterministic — identical campaigns encode byte-identically —
-// so served responses can be byte-compared across worker counts.
+// compact "HCB1" record. Its layout is the Layout field lists below, run by
+// the record engine (fleet/record.hpp). Encoding is deterministic —
+// identical campaigns encode byte-identically — so served responses can be
+// byte-compared across worker counts.
 #pragma once
 
 #include <string>
-#include <string_view>
 
+#include "fleet/record.hpp"
 #include "injector/robust_spec.hpp"
-#include "support/result.hpp"
 
 namespace healers::server {
 
-// Magic prefix of a binary campaign document.
-inline constexpr std::string_view kCampaignMagic = "HCB1";
-
 // CampaignResult -> compact binary document.
-[[nodiscard]] std::string encode_campaign_binary(const injector::CampaignResult& campaign);
-
-// Strict binary decoder (payload must start with kCampaignMagic).
-[[nodiscard]] Result<injector::CampaignResult> decode_campaign_binary(std::string_view payload);
-
-// Format-sniffing decoder: binary by magic, otherwise parsed as a
-// <campaign> XML document.
-[[nodiscard]] Result<injector::CampaignResult> decode_campaign(std::string_view payload);
-
-// True when the payload carries the binary campaign magic.
-[[nodiscard]] bool is_campaign_binary(std::string_view payload) noexcept;
+[[nodiscard]] inline std::string encode_campaign_binary(const injector::CampaignResult& campaign) {
+  return fleet::record::encode(campaign);
+}
 
 }  // namespace healers::server
+
+namespace healers::fleet::record {
+
+template <>
+struct Layout<injector::TypeVerdict> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u32(r.id, lattice::TestTypeId::kFInf);
+    v.u32(r.probes);
+    v.u32(r.failures);
+    v.u32(r.crashes);
+    v.u32(r.hangs);
+    v.u32(r.aborts);
+    v.str(r.first_failure);
+  }
+};
+
+template <>
+struct Layout<injector::ArgSpec> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u32(r.index);
+    v.str(r.ctype);
+    v.u32(r.cls, parser::TypeClass::kPointer);
+    auto& c = r.checks;
+    v.flags(c.require_nonnull, c.require_mapped, c.require_writable, c.require_terminated,
+            c.require_size_check, c.require_heap_pointer, c.require_file, c.require_callback,
+            c.range);
+    if (c.range) {
+      v.u64(c.range->first);
+      v.u64(c.range->second);
+    }
+    v.list(r.verdicts);
+  }
+};
+
+template <>
+struct Layout<injector::RobustSpec> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.function);
+    v.str(r.library);
+    v.str(r.declaration);
+    v.u64(r.total_probes);
+    v.u64(r.total_failures);
+    v.u64(r.crashes);
+    v.u64(r.hangs);
+    v.u64(r.aborts);
+    v.flags(r.skipped_noreturn);
+    v.list(r.args);
+  }
+};
+
+template <>
+struct Layout<injector::CampaignResult> {
+  static constexpr Kind kKind = Kind::kCampaign;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.library);
+    v.u64(r.seed);
+    v.list(r.specs);
+  }
+};
+
+}  // namespace healers::fleet::record

@@ -1,24 +1,6 @@
 #include "server/protocol.hpp"
 
-#include "fleet/wire.hpp"
-
 namespace healers::server {
-namespace {
-
-using fleet::codec::Cursor;
-using fleet::codec::put_str;
-using fleet::codec::put_u32;
-using fleet::codec::put_u64;
-
-bool is_request_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kRequestMagic.size()) == kRequestMagic;
-}
-
-bool is_response_binary(std::string_view payload) noexcept {
-  return payload.substr(0, kResponseMagic.size()) == kResponseMagic;
-}
-
-}  // namespace
 
 std::string_view to_string(Endpoint endpoint) noexcept {
   return endpoint == Endpoint::kDerive ? "derive" : "bundle";
@@ -54,18 +36,8 @@ injector::InjectorConfig DeriveRequest::injector_config() const {
 }
 
 std::string DeriveRequest::canonical_key() const {
-  // The binary encoding already is a canonical, unambiguous image of every
-  // result-affecting field, so it doubles as the single-flight key.
   std::string key;
-  put_u32(key, static_cast<std::uint32_t>(endpoint));
-  put_str(key, soname);
-  put_u64(key, seed);
-  put_u32(key, static_cast<std::uint32_t>(variants));
-  put_u64(key, probe_step_budget);
-  put_u64(key, testbed_heap);
-  put_u64(key, testbed_stack);
-  put_u32(key, endpoint == Endpoint::kBundle ? static_cast<std::uint32_t>(bundle) : 0U);
-  put_u32(key, static_cast<std::uint32_t>(format));
+  fleet::record::write(key, *this);
   return key;
 }
 
@@ -129,43 +101,19 @@ Result<DeriveRequest> DeriveRequest::from_xml(const xml::Node& node) {
 
 std::string DeriveRequest::encode() const {
   if (format == WireFormat::kXml) return xml::serialize(to_xml());
-  std::string out;
-  out.append(kRequestMagic);
-  out.append(canonical_key());
-  return out;
+  return fleet::record::encode(*this);
 }
 
 Result<DeriveRequest> DeriveRequest::decode(std::string_view payload) {
-  if (!is_request_binary(payload)) {
+  if (fleet::record::sniff(payload) != fleet::record::Kind::kRequest) {
     auto parsed = xml::parse(payload);
     if (!parsed.ok()) return Error("xml request: " + parsed.error().message);
     return from_xml(parsed.value());
   }
-  Cursor cur(payload.substr(kRequestMagic.size()));
-  DeriveRequest request;
-  const std::uint32_t endpoint = cur.u32();
-  if (!cur.ok() || endpoint > static_cast<std::uint32_t>(Endpoint::kBundle)) {
-    return Error("binary request: bad endpoint");
+  auto request = fleet::record::decode<DeriveRequest>(payload);
+  if (request.ok() && request.value().soname.empty()) {
+    return Error("binary request: missing soname");
   }
-  request.endpoint = static_cast<Endpoint>(endpoint);
-  request.soname = cur.str();
-  request.seed = cur.u64();
-  request.variants = static_cast<int>(cur.u32());
-  request.probe_step_budget = cur.u64();
-  request.testbed_heap = cur.u64();
-  request.testbed_stack = cur.u64();
-  const std::uint32_t bundle = cur.u32();
-  if (!cur.ok() || bundle > static_cast<std::uint32_t>(BundleKind::kRepair)) {
-    return Error("binary request: bad bundle kind");
-  }
-  request.bundle = static_cast<BundleKind>(bundle);
-  const std::uint32_t format = cur.u32();
-  if (!cur.ok() || format > static_cast<std::uint32_t>(WireFormat::kBinary)) {
-    return Error("binary request: bad format");
-  }
-  request.format = static_cast<WireFormat>(format);
-  if (!cur.at_end()) return Error("binary request: trailing bytes");
-  if (request.soname.empty()) return Error("binary request: missing soname");
   return request;
 }
 
@@ -202,34 +150,16 @@ Result<DeriveResponse> DeriveResponse::from_xml(const xml::Node& node) {
 
 std::string DeriveResponse::encode(WireFormat format) const {
   if (format == WireFormat::kXml) return xml::serialize(to_xml());
-  std::string out;
-  out.append(kResponseMagic);
-  put_u32(out, static_cast<std::uint32_t>(status));
-  put_u64(out, probes);
-  put_str(out, error);
-  put_str(out, payload);
-  return out;
+  return fleet::record::encode(*this);
 }
 
 Result<DeriveResponse> DeriveResponse::decode(std::string_view payload) {
-  if (!is_response_binary(payload)) {
+  if (fleet::record::sniff(payload) != fleet::record::Kind::kResponse) {
     auto parsed = xml::parse(payload);
     if (!parsed.ok()) return Error("xml response: " + parsed.error().message);
     return from_xml(parsed.value());
   }
-  Cursor cur(payload.substr(kResponseMagic.size()));
-  DeriveResponse response;
-  const std::uint32_t status = cur.u32();
-  if (!cur.ok() || status > static_cast<std::uint32_t>(ResponseStatus::kShed)) {
-    return Error("binary response: bad status");
-  }
-  response.status = static_cast<ResponseStatus>(status);
-  response.probes = cur.u64();
-  response.error = cur.str();
-  response.payload = cur.str();
-  if (!cur.ok()) return Error("binary response: truncated");
-  if (!cur.at_end()) return Error("binary response: trailing bytes");
-  return response;
+  return fleet::record::decode<DeriveResponse>(payload);
 }
 
 }  // namespace healers::server

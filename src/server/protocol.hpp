@@ -13,12 +13,8 @@
 // by magic exactly like the fleet document formats, so a mixed client
 // population can talk to one server during a rollout. One format field
 // controls BOTH the envelope and the campaign payload encoding — binary
-// payloads never ride inside XML character data.
-//
-// Binary request ("HRQ1"):  u32 endpoint, str soname, u64 seed,
-//   u32 variants, u64 probe_step_budget, u64 testbed_heap,
-//   u64 testbed_stack, u32 bundle kind, u32 format
-// Binary response ("HRS1"): u32 status, u64 probes, str error, str payload
+// payloads never ride inside XML character data. The binary forms (HRQ1,
+// HRS1) are the Layout field lists at the end of this file.
 //
 // Everything in a response is a pure function of the request and the
 // library content: byte-identical across worker counts, queue shapes, and
@@ -29,14 +25,15 @@
 #include <string>
 #include <string_view>
 
+#include "fleet/record.hpp"
 #include "injector/injector.hpp"
 #include "support/result.hpp"
 #include "xml/xml.hpp"
 
 namespace healers::server {
 
-inline constexpr std::string_view kRequestMagic = "HRQ1";
-inline constexpr std::string_view kResponseMagic = "HRS1";
+inline constexpr std::string_view kResponseMagic =
+    fleet::record::magic(fleet::record::Kind::kResponse).bytes;
 
 enum class Endpoint : std::uint8_t {
   kDerive = 0,  // robust-API derivation -> campaign document
@@ -86,7 +83,8 @@ struct DeriveRequest {
   [[nodiscard]] injector::InjectorConfig injector_config() const;
 
   // Canonical single-flight key: two requests with equal keys are satisfied
-  // by one computation and receive byte-identical response bytes.
+  // by one computation and receive byte-identical response bytes. It is the
+  // HRQ1 record without its magic.
   [[nodiscard]] std::string canonical_key() const;
 
   [[nodiscard]] xml::Node to_xml() const;
@@ -109,3 +107,40 @@ struct DeriveResponse {
 };
 
 }  // namespace healers::server
+
+namespace healers::fleet::record {
+
+template <>
+struct Layout<server::DeriveRequest> {
+  static constexpr Kind kKind = Kind::kRequest;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u32(r.endpoint, server::Endpoint::kBundle);
+    v.str(r.soname);
+    v.u64(r.seed);
+    v.u32(r.variants);
+    v.u64(r.probe_step_budget);
+    v.u64(r.testbed_heap);
+    v.u64(r.testbed_stack);
+    if (r.endpoint == server::Endpoint::kBundle) {
+      v.u32(r.bundle, server::BundleKind::kRepair);
+    } else {
+      v.constant(0);  // derive requests carry no bundle kind
+    }
+    v.u32(r.format, server::WireFormat::kBinary);
+  }
+};
+
+template <>
+struct Layout<server::DeriveResponse> {
+  static constexpr Kind kKind = Kind::kResponse;
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u32(r.status, server::ResponseStatus::kShed);
+    v.u64(r.probes);
+    v.str(r.error);
+    v.str(r.payload);
+  }
+};
+
+}  // namespace healers::fleet::record

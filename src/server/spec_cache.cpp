@@ -4,196 +4,65 @@
 #include <sstream>
 
 #include "fleet/wire.hpp"
-#include "server/codec.hpp"
 
 namespace healers::server {
+namespace {
 
-std::string encode_cache_entry(const core::CachedCampaign& entry) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  using fleet::codec::put_u64;
-  std::string out;
-  out.append(kCacheEntryMagic);
-  put_str(out, entry.soname);
-  put_u64(out, entry.fingerprint);
-  put_u64(out, entry.seed);
-  put_u32(out, static_cast<std::uint32_t>(entry.variants));
-  put_u64(out, entry.probe_step_budget);
-  put_u64(out, entry.testbed_heap);
-  put_u64(out, entry.testbed_stack);
-  put_str(out, encode_campaign_binary(entry.result));
-  return out;
+template <class T>
+Status append_decoded(std::vector<T>& entries, std::string_view payload) {
+  auto entry = fleet::record::decode<T>(payload);
+  if (!entry.ok()) return entry.error();
+  entries.push_back(std::move(entry).take());
+  return Status::success();
 }
 
-Result<core::CachedCampaign> decode_cache_entry(std::string_view payload) {
-  if (payload.substr(0, kCacheEntryMagic.size()) != kCacheEntryMagic) {
-    return Error("cache entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kCacheEntryMagic.size()));
-  core::CachedCampaign entry;
-  entry.soname = cur.str();
-  entry.fingerprint = cur.u64();
-  entry.seed = cur.u64();
-  entry.variants = static_cast<int>(cur.u32());
-  entry.probe_step_budget = cur.u64();
-  entry.testbed_heap = cur.u64();
-  entry.testbed_stack = cur.u64();
-  const std::string campaign_bytes = cur.str();
-  if (!cur.ok()) return Error("cache entry: truncated");
-  if (!cur.at_end()) return Error("cache entry: trailing bytes");
-  auto campaign = decode_campaign_binary(campaign_bytes);
-  if (!campaign.ok()) return Error("cache entry: " + campaign.error().message);
-  entry.result = std::move(campaign).take();
-  return entry;
-}
+}  // namespace
 
-std::string encode_profile_entry(const lattice::SignatureProfile& profile) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  std::string out;
-  out.append(kProfileEntryMagic);
-  put_str(out, profile.signature);
-  put_u32(out, static_cast<std::uint32_t>(lattice::kTestTypeCount));
-  for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) {
-    put_u32(out, profile.passes[i]);
-    put_u32(out, profile.fails[i]);
-  }
-  return out;
-}
-
-Result<lattice::SignatureProfile> decode_profile_entry(std::string_view payload) {
-  if (payload.substr(0, kProfileEntryMagic.size()) != kProfileEntryMagic) {
-    return Error("profile entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kProfileEntryMagic.size()));
-  lattice::SignatureProfile profile;
-  profile.signature = cur.str();
-  const std::uint32_t count = cur.u32();
-  if (cur.ok() && count != lattice::kTestTypeCount) {
-    // A different lattice shape cannot be merged tally-for-tally.
-    return Error("profile entry: test-type count mismatch");
-  }
-  for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) {
-    profile.passes[i] = cur.u32();
-    profile.fails[i] = cur.u32();
-  }
-  if (!cur.ok()) return Error("profile entry: truncated");
-  if (!cur.at_end()) return Error("profile entry: trailing bytes");
-  return profile;
-}
-
-std::string encode_repair_entry(const core::CachedRepairPolicy& entry) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  using fleet::codec::put_u64;
-  std::string out;
-  out.append(kRepairEntryMagic);
-  put_str(out, entry.soname);
-  put_u64(out, entry.fingerprint);
-  put_u64(out, entry.seed);
-  put_u32(out, static_cast<std::uint32_t>(entry.variants));
-  put_u64(out, entry.probe_step_budget);
-  put_u64(out, entry.testbed_heap);
-  put_u64(out, entry.testbed_stack);
-  put_str(out, xml::serialize(entry.policy.to_xml()));
-  return out;
-}
-
-Result<core::CachedRepairPolicy> decode_repair_entry(std::string_view payload) {
-  if (payload.substr(0, kRepairEntryMagic.size()) != kRepairEntryMagic) {
-    return Error("repair entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kRepairEntryMagic.size()));
-  core::CachedRepairPolicy entry;
-  entry.soname = cur.str();
-  entry.fingerprint = cur.u64();
-  entry.seed = cur.u64();
-  entry.variants = static_cast<int>(cur.u32());
-  entry.probe_step_budget = cur.u64();
-  entry.testbed_heap = cur.u64();
-  entry.testbed_stack = cur.u64();
-  const std::string policy_text = cur.str();
-  if (!cur.ok()) return Error("repair entry: truncated");
-  if (!cur.at_end()) return Error("repair entry: trailing bytes");
-  auto doc = xml::parse(policy_text);
-  if (!doc.ok()) return Error("repair entry: " + doc.error().message);
-  auto policy = gen::RepairPolicy::from_xml(doc.value());
-  if (!policy.ok()) return Error("repair entry: " + policy.error().message);
-  entry.policy = std::move(policy).take();
-  return entry;
-}
-
-std::string encode_surface_entry(const core::SurfaceScope& entry) {
-  using fleet::codec::put_str;
-  using fleet::codec::put_u32;
-  using fleet::codec::put_u64;
-  std::string out;
-  out.append(kSurfaceEntryMagic);
-  put_str(out, entry.executable);
-  put_str(out, entry.soname);
-  put_u64(out, entry.fingerprint);
-  put_u32(out, static_cast<std::uint32_t>(entry.symbols.size()));
-  for (const std::string& symbol : entry.symbols) put_str(out, symbol);
-  return out;
-}
-
-Result<core::SurfaceScope> decode_surface_entry(std::string_view payload) {
-  if (payload.substr(0, kSurfaceEntryMagic.size()) != kSurfaceEntryMagic) {
-    return Error("surface entry: bad magic");
-  }
-  fleet::codec::Cursor cur(payload.substr(kSurfaceEntryMagic.size()));
-  core::SurfaceScope entry;
-  entry.executable = cur.str();
-  entry.soname = cur.str();
-  entry.fingerprint = cur.u64();
-  const std::uint32_t count = cur.u32();
-  for (std::uint32_t i = 0; cur.ok() && i < count; ++i) entry.symbols.push_back(cur.str());
-  if (!cur.ok()) return Error("surface entry: truncated");
-  if (!cur.at_end()) return Error("surface entry: trailing bytes");
-  return entry;
-}
-
-std::string encode_cache_file(const std::vector<core::CachedCampaign>& entries) {
+std::string encode_cache_file(const CacheImage& image) {
   std::vector<std::string> documents;
-  documents.reserve(entries.size());
-  for (const core::CachedCampaign& entry : entries) documents.push_back(encode_cache_entry(entry));
+  const auto add = [&documents](const auto& entries) {
+    for (const auto& entry : entries) documents.push_back(fleet::record::encode(entry));
+  };
+  add(image.campaigns);
+  add(image.profiles);
+  add(image.repairs);
+  add(image.scopes);
   return fleet::frame_stream(documents);
 }
 
-Result<std::vector<core::CachedCampaign>> decode_cache_file(std::string_view image) {
-  auto documents = fleet::unframe_stream(image);
-  if (!documents.ok()) return Error("cache file: " + documents.error().message);
-  std::vector<core::CachedCampaign> entries;
-  entries.reserve(documents.value().size());
+Result<CacheImage> decode_cache_file(std::string_view bytes) {
+  auto documents = fleet::unframe_stream(bytes);
+  if (!documents.ok()) return documents.error();
+  CacheImage image;
   for (const std::string& doc : documents.value()) {
-    auto entry = decode_cache_entry(doc);
-    if (!entry.ok()) return entry.error();
-    entries.push_back(std::move(entry).take());
+    using fleet::record::Kind;
+    Status status;
+    switch (fleet::record::sniff(doc)) {
+      case Kind::kCampaignEntry: status = append_decoded(image.campaigns, doc); break;
+      case Kind::kProfileEntry: status = append_decoded(image.profiles, doc); break;
+      case Kind::kRepairEntry: status = append_decoded(image.repairs, doc); break;
+      case Kind::kSurfaceEntry: status = append_decoded(image.scopes, doc); break;
+      default:
+        // An entry kind this build does not know — written by a newer
+        // toolkit. Skipping it keeps old readers serving what they DO know.
+        ++image.skipped_unknown;
+    }
+    if (!status.ok()) return status.error();
   }
-  return entries;
+  return image;
 }
 
 Status save_cache_file(const core::Toolkit& toolkit, const std::string& path) {
   // Campaign entries (canonical key order) followed by profile entries
   // (sorted by signature) — the whole image is deterministic.
-  std::vector<std::string> documents;
-  for (const core::CachedCampaign& entry : toolkit.export_campaigns()) {
-    documents.push_back(encode_cache_entry(entry));
-  }
-  for (const lattice::SignatureProfile& profile :
-       toolkit.implication_profiles()->export_profiles()) {
-    documents.push_back(encode_profile_entry(profile));
-  }
-  for (const core::CachedRepairPolicy& entry : toolkit.export_repair_policies()) {
-    documents.push_back(encode_repair_entry(entry));
-  }
-  for (const core::SurfaceScope& entry : toolkit.export_surface_scopes()) {
-    documents.push_back(encode_surface_entry(entry));
-  }
-  const std::string image = fleet::frame_stream(documents);
+  CacheImage image;
+  image.campaigns = toolkit.export_campaigns();
+  image.profiles = toolkit.implication_profiles()->export_profiles();
+  image.repairs = toolkit.export_repair_policies();
+  image.scopes = toolkit.export_surface_scopes();
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::failure("cannot write " + path);
-  out << image;
+  out << encode_cache_file(image);
   if (!out) return Status::failure("short write to " + path);
   return Status::success();
 }
@@ -204,47 +73,14 @@ Result<std::size_t> load_cache_file(const core::Toolkit& toolkit, const std::str
   if (!in) return Error("cannot read " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  auto documents = fleet::unframe_stream(buffer.str());
-  if (!documents.ok()) return Error(path + ": " + documents.error().message);
-  std::vector<core::CachedCampaign> campaigns;
-  std::vector<lattice::SignatureProfile> profiles;
-  std::vector<core::CachedRepairPolicy> repairs;
-  std::vector<core::SurfaceScope> scopes;
-  std::size_t unknown = 0;
-  for (const std::string& doc : documents.value()) {
-    if (doc.substr(0, kProfileEntryMagic.size()) == kProfileEntryMagic) {
-      auto profile = decode_profile_entry(doc);
-      if (!profile.ok()) return Error(path + ": " + profile.error().message);
-      profiles.push_back(std::move(profile).take());
-      continue;
-    }
-    if (doc.substr(0, kRepairEntryMagic.size()) == kRepairEntryMagic) {
-      auto repair = decode_repair_entry(doc);
-      if (!repair.ok()) return Error(path + ": " + repair.error().message);
-      repairs.push_back(std::move(repair).take());
-      continue;
-    }
-    if (doc.substr(0, kSurfaceEntryMagic.size()) == kSurfaceEntryMagic) {
-      auto scope = decode_surface_entry(doc);
-      if (!scope.ok()) return Error(path + ": " + scope.error().message);
-      scopes.push_back(std::move(scope).take());
-      continue;
-    }
-    if (doc.substr(0, kCacheEntryMagic.size()) != kCacheEntryMagic) {
-      // An entry kind this build does not know — written by a newer toolkit.
-      // Skipping it keeps old readers serving everything they DO understand.
-      ++unknown;
-      continue;
-    }
-    auto entry = decode_cache_entry(doc);
-    if (!entry.ok()) return Error(path + ": " + entry.error().message);
-    campaigns.push_back(std::move(entry).take());
-  }
-  if (skipped_unknown != nullptr) *skipped_unknown = unknown;
-  toolkit.implication_profiles()->import_profiles(profiles);
-  toolkit.import_repair_policies(std::move(repairs));
-  toolkit.import_surface_scopes(std::move(scopes));
-  return toolkit.import_campaigns(std::move(campaigns));
+  auto image = decode_cache_file(buffer.str());
+  if (!image.ok()) return Error(path + ": " + image.error().message);
+  CacheImage& entries = image.value();
+  if (skipped_unknown != nullptr) *skipped_unknown = entries.skipped_unknown;
+  toolkit.implication_profiles()->import_profiles(entries.profiles);
+  toolkit.import_repair_policies(std::move(entries.repairs));
+  toolkit.import_surface_scopes(std::move(entries.scopes));
+  return toolkit.import_campaigns(std::move(entries.campaigns));
 }
 
 }  // namespace healers::server

@@ -119,7 +119,7 @@ TEST(DemandLoading, SurfaceViolationDossierRoundTripsXmlAndBinary) {
   EXPECT_EQ(xml::serialize(decoded.value().to_xml()), xml_doc);
 
   const std::string binary = fleet::encode_dossier_binary(dossier);
-  const auto from_binary = fleet::decode_dossier_binary(binary);
+  const auto from_binary = fleet::record::decode<incident::Dossier>(binary);
   ASSERT_TRUE(from_binary.ok());
   EXPECT_EQ(fleet::encode_dossier_binary(from_binary.value()), binary);
   EXPECT_EQ(from_binary.value().detector, simlib::DetectionKind::kSurfaceViolation);
@@ -160,13 +160,14 @@ TEST(SurfaceProfile, XmlRoundTripIsExactAndDeterministic) {
 TEST(SurfaceProfile, BinaryRoundTripIsExactAndStrict) {
   const SurfaceProfile profile = captured_profile();
   const std::string binary = fleet::encode_surface_binary(profile);
-  ASSERT_TRUE(fleet::is_surface_binary(binary));
-  const auto decoded = fleet::decode_surface_binary(binary);
+  ASSERT_EQ(fleet::record::sniff(binary), fleet::record::Kind::kSurface);
+  const auto decoded = fleet::record::decode<debloat::SurfaceProfile>(binary);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), profile);
-  EXPECT_FALSE(fleet::decode_surface_binary(binary.substr(0, binary.size() - 2)).ok());
-  EXPECT_FALSE(fleet::decode_surface_binary(binary + "x").ok());
-  EXPECT_FALSE(fleet::decode_surface_binary("HSP1").ok());
+  EXPECT_FALSE(
+      fleet::record::decode<debloat::SurfaceProfile>(binary.substr(0, binary.size() - 2)).ok());
+  EXPECT_FALSE(fleet::record::decode<debloat::SurfaceProfile>(binary + "x").ok());
+  EXPECT_FALSE(fleet::record::decode<debloat::SurfaceProfile>("HSP1").ok());
 }
 
 // --- fleet aggregation -----------------------------------------------------

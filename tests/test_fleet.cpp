@@ -50,8 +50,8 @@ std::string canonical(const profile::ProfileReport& report) {
 TEST(FleetWire, BinaryRoundTripPreservesReport) {
   const profile::ProfileReport report = sample_report();
   const std::string payload = encode_binary(report);
-  ASSERT_TRUE(is_binary_document(payload));
-  auto back = decode_binary(payload);
+  ASSERT_EQ(record::sniff(payload), record::Kind::kProfile);
+  auto back = record::decode<profile::ProfileReport>(payload);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(canonical(back.value()), canonical(report));
 }
@@ -69,7 +69,7 @@ TEST(FleetWire, EmptyReportRoundTrips) {
   profile::ProfileReport report;
   report.process = "idle";
   report.wrapper = "w";
-  auto back = decode_binary(encode_binary(report));
+  auto back = record::decode<profile::ProfileReport>(encode_binary(report));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().functions.size(), 0u);
   EXPECT_EQ(back.value().process, "idle");
@@ -78,10 +78,11 @@ TEST(FleetWire, EmptyReportRoundTrips) {
 TEST(FleetWire, RejectsTruncatedAndTrailingAndBadMagic) {
   const std::string payload = encode_binary(sample_report());
   for (std::size_t cut : {payload.size() - 1, payload.size() / 2, std::size_t{5}}) {
-    EXPECT_FALSE(decode_binary(payload.substr(0, cut)).ok()) << "cut at " << cut;
+    EXPECT_FALSE(record::decode<profile::ProfileReport>(payload.substr(0, cut)).ok())
+        << "cut at " << cut;
   }
-  EXPECT_FALSE(decode_binary(payload + "x").ok());
-  EXPECT_FALSE(decode_binary("XXXX" + payload.substr(4)).ok());
+  EXPECT_FALSE(record::decode<profile::ProfileReport>(payload + "x").ok());
+  EXPECT_FALSE(record::decode<profile::ProfileReport>("XXXX" + payload.substr(4)).ok());
   EXPECT_FALSE(decode_document("not xml, not binary").ok());
   EXPECT_FALSE(decode_document("<campaign/>").ok());
 }
@@ -339,7 +340,7 @@ TEST(FleetSimulatorTest, MixedEncodingEmitsBothFormats) {
   config.docs_per_host = 4;
   const auto docs = FleetSimulator(toolkit(), config).run();
   std::size_t binary = 0;
-  for (const auto& doc : docs) binary += is_binary_document(doc) ? 1 : 0;
+  for (const auto& doc : docs) binary += record::sniff(doc) == record::Kind::kProfile ? 1 : 0;
   EXPECT_GT(binary, 0u);
   EXPECT_LT(binary, docs.size());
   for (const auto& doc : docs) EXPECT_TRUE(decode_document(doc).ok());

@@ -241,16 +241,16 @@ TEST(DossierSerialization, XmlRoundTrip) {
 TEST(DossierSerialization, BinaryRoundTrip) {
   const Dossier dossier = capture_heap_dossier();
   const std::string wire = fleet::encode_dossier_binary(dossier);
-  ASSERT_TRUE(fleet::is_dossier_binary(wire));
-  const auto round = fleet::decode_dossier_binary(wire);
+  ASSERT_EQ(fleet::record::sniff(wire), fleet::record::Kind::kDossier);
+  const auto round = fleet::record::decode<incident::Dossier>(wire);
   ASSERT_TRUE(round.ok()) << round.error().message;
   EXPECT_TRUE(round.value() == dossier);
 }
 
 TEST(DossierSerialization, TruncatedBinaryIsRejected) {
   const std::string wire = fleet::encode_dossier_binary(capture_heap_dossier());
-  EXPECT_FALSE(fleet::decode_dossier_binary(wire.substr(0, wire.size() / 2)).ok());
-  EXPECT_FALSE(fleet::decode_dossier_binary(wire + "x").ok());
+  EXPECT_FALSE(fleet::record::decode<incident::Dossier>(wire.substr(0, wire.size() / 2)).ok());
+  EXPECT_FALSE(fleet::record::decode<incident::Dossier>(wire + "x").ok());
 }
 
 // --- fleet ingestion -------------------------------------------------------

@@ -332,7 +332,7 @@ TEST(RepairDossier, XmlRoundTripKeepsRepairEvents) {
 TEST(RepairDossier, BinaryRoundTripKeepsRepairEvents) {
   const incident::Dossier dossier = capture_repair_dossier(toolkit());
   const std::string blob = fleet::encode_dossier_binary(dossier);
-  const auto back = fleet::decode_dossier_binary(blob);
+  const auto back = fleet::record::decode<incident::Dossier>(blob);
   ASSERT_TRUE(back.ok()) << back.error().message;
   EXPECT_TRUE(dossier == back.value());
   ASSERT_EQ(back.value().repairs.size(), 1u);

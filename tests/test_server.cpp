@@ -23,6 +23,8 @@
 namespace healers::server {
 namespace {
 
+using fleet::record::decode;
+
 injector::InjectorConfig quick_config() {
   injector::InjectorConfig config;
   config.seed = 21;
@@ -40,6 +42,16 @@ DeriveRequest quick_request(const std::string& soname, WireFormat format = WireF
   return request;
 }
 
+// A campaign document in either wire format: binary by magic, else XML.
+Result<injector::CampaignResult> decode_campaign(std::string_view payload) {
+  if (fleet::record::sniff(payload) == fleet::record::Kind::kCampaign) {
+    return decode<injector::CampaignResult>(payload);
+  }
+  auto parsed = xml::parse(payload);
+  if (!parsed.ok()) return parsed.error();
+  return injector::CampaignResult::from_xml(parsed.value());
+}
+
 struct ServerFixture : ::testing::Test {
   core::Toolkit toolkit;
 };
@@ -51,8 +63,8 @@ TEST_F(ServerFixture, CampaignBinaryRoundTripMatchesXml) {
   ASSERT_TRUE(campaign.ok());
 
   const std::string binary = encode_campaign_binary(campaign.value());
-  ASSERT_TRUE(is_campaign_binary(binary));
-  const auto decoded = decode_campaign_binary(binary);
+  ASSERT_EQ(fleet::record::sniff(binary), fleet::record::Kind::kCampaign);
+  const auto decoded = decode<injector::CampaignResult>(binary);
   ASSERT_TRUE(decoded.ok());
   // The XML image is the campaign's canonical fingerprint: equal XML means
   // every spec, check, range, and verdict survived the binary round trip.
@@ -79,13 +91,14 @@ TEST_F(ServerFixture, CampaignBinaryDecoderIsStrict) {
   ASSERT_TRUE(campaign.ok());
   const std::string binary = encode_campaign_binary(campaign.value());
 
-  EXPECT_FALSE(decode_campaign_binary("").ok());
-  EXPECT_FALSE(decode_campaign_binary("HDB1 not a campaign").ok());
+  EXPECT_FALSE(decode<injector::CampaignResult>("").ok());
+  EXPECT_FALSE(decode<injector::CampaignResult>("HDB1 not a campaign").ok());
   // Every proper prefix is truncated, never a partial campaign.
   for (std::size_t len = 0; len < binary.size(); len += 17) {
-    EXPECT_FALSE(decode_campaign_binary(std::string_view(binary).substr(0, len)).ok());
+    EXPECT_FALSE(decode<injector::CampaignResult>(std::string_view(binary).substr(0, len)).ok());
   }
-  EXPECT_FALSE(decode_campaign_binary(binary + "x").ok()) << "trailing bytes must be rejected";
+  EXPECT_FALSE(decode<injector::CampaignResult>(binary + "x").ok())
+      << "trailing bytes must be rejected";
 }
 
 // --- persistent spec cache ---------------------------------------------------
@@ -95,8 +108,8 @@ TEST_F(ServerFixture, CacheEntryRoundTrip) {
   const auto exported = toolkit.export_campaigns();
   ASSERT_EQ(exported.size(), 1u);
 
-  const std::string payload = encode_cache_entry(exported[0]);
-  const auto decoded = decode_cache_entry(payload);
+  const std::string payload = fleet::record::encode(exported[0]);
+  const auto decoded = decode<core::CachedCampaign>(payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().soname, "libsimio.so.1");
   EXPECT_EQ(decoded.value().fingerprint, exported[0].fingerprint);
@@ -105,8 +118,8 @@ TEST_F(ServerFixture, CacheEntryRoundTrip) {
   EXPECT_EQ(xml::serialize(decoded.value().result.to_xml()),
             xml::serialize(exported[0].result.to_xml()));
 
-  EXPECT_FALSE(decode_cache_entry(payload.substr(0, payload.size() / 2)).ok());
-  EXPECT_FALSE(decode_cache_entry("HFB1 something else").ok());
+  EXPECT_FALSE(decode<core::CachedCampaign>(payload.substr(0, payload.size() / 2)).ok());
+  EXPECT_FALSE(decode<core::CachedCampaign>("HFB1 something else").ok());
 }
 
 TEST_F(ServerFixture, CacheFileWarmsAFreshToolkitToZeroProbes) {
@@ -127,11 +140,13 @@ TEST_F(ServerFixture, CacheFileWarmsAFreshToolkitToZeroProbes) {
 
 TEST_F(ServerFixture, CacheFileImageIsDeterministicAndStrict) {
   ASSERT_TRUE(toolkit.derive_robust_api("libsimm.so.1", quick_config()).ok());
-  const std::string image = encode_cache_file(toolkit.export_campaigns());
-  EXPECT_EQ(encode_cache_file(toolkit.export_campaigns()), image);
+  CacheImage cache;
+  cache.campaigns = toolkit.export_campaigns();
+  const std::string image = encode_cache_file(cache);
+  EXPECT_EQ(encode_cache_file(cache), image);
   const auto decoded = decode_cache_file(image);
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded.value().size(), 1u);
+  ASSERT_EQ(decoded.value().campaigns.size(), 1u);
 
   EXPECT_FALSE(decode_cache_file("not a stream").ok());
   EXPECT_FALSE(decode_cache_file(image.substr(0, image.size() - 3)).ok());
@@ -179,12 +194,12 @@ TEST_F(ServerFixture, SurfaceScopesPersistThroughTheCacheFile) {
   scope.symbols = {"strcpy", "strlen"};
   ASSERT_TRUE(toolkit.install_surface_scope(scope));
 
-  const std::string payload = encode_surface_entry(toolkit.export_surface_scopes().front());
-  const auto round = decode_surface_entry(payload);
+  const std::string payload = fleet::record::encode(toolkit.export_surface_scopes().front());
+  const auto round = decode<core::SurfaceScope>(payload);
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round.value(), toolkit.export_surface_scopes().front());
-  EXPECT_FALSE(decode_surface_entry(payload.substr(0, payload.size() - 1)).ok());
-  EXPECT_FALSE(decode_surface_entry(payload + "x").ok());
+  EXPECT_FALSE(decode<core::SurfaceScope>(payload.substr(0, payload.size() - 1)).ok());
+  EXPECT_FALSE(decode<core::SurfaceScope>(payload + "x").ok());
 
   const std::string path = ::testing::TempDir() + "healers_surface_scopes.hsc";
   ASSERT_TRUE(save_cache_file(toolkit, path).ok());

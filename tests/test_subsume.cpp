@@ -181,15 +181,15 @@ TEST(ImplicationProfiles, ProfileEntryCodecRoundTripsAndRejectsGarbage) {
   const auto exported = store.export_profiles();
   ASSERT_EQ(exported.size(), 1u);
 
-  const std::string payload = server::encode_profile_entry(exported[0]);
-  const auto decoded = server::decode_profile_entry(payload);
+  const std::string payload = fleet::record::encode(exported[0]);
+  const auto decoded = fleet::record::decode<SignatureProfile>(payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().signature, "integral|range");
   EXPECT_EQ(decoded.value().passes, exported[0].passes);
   EXPECT_EQ(decoded.value().fails, exported[0].fails);
 
-  EXPECT_FALSE(server::decode_profile_entry(payload.substr(0, payload.size() / 2)).ok());
-  EXPECT_FALSE(server::decode_profile_entry("HSCE1 not a profile").ok());
+  EXPECT_FALSE(fleet::record::decode<SignatureProfile>(payload.substr(0, payload.size() / 2)).ok());
+  EXPECT_FALSE(fleet::record::decode<SignatureProfile>("HSCE1 not a profile").ok());
 }
 
 // --- the full-catalog differential -------------------------------------------
