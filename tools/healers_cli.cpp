@@ -28,12 +28,15 @@
 // robust APIs and wrapper bundles; single-flight dedup plus the persistent
 // spec cache (--cache-file, shared with derive) keep repeat answers at zero
 // probes.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "attacks/attacks.hpp"
@@ -187,15 +190,43 @@ struct Options {
   bool debloat = false;
 };
 
+// Parses a numeric flag's value: anything but a non-negative decimal integer
+// that fits the field is an error.
+template <class T>
+Status parse_count(const std::string& flag, const std::string& text, T& field) {
+  const char* const end = text.data() + text.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.starts_with('-') || error != std::errc() || stop != end) {
+    return Status::failure(flag + " needs a non-negative integer, got '" + text + "'");
+  }
+  field = value;
+  return Status::success();
+}
+
 Result<Options> parse_options(int argc, char** argv) {
   Options options;
+  const std::map<std::string, std::variant<int*, std::uint64_t*>> counts = {
+      {"--seed", &options.seed},         {"--variants", &options.variants},
+      {"--jobs", &options.jobs},         {"--hosts", &options.hosts},
+      {"--docs", &options.docs},         {"--shards", &options.shards},
+      {"--capacity", &options.capacity}, {"--virtual-seconds", &options.virtual_seconds},
+      {"--clients", &options.clients},   {"--requests", &options.requests},
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&i, argc, argv, &arg]() -> Result<std::string> {
       if (i + 1 >= argc) return Error("missing value for " + arg);
       return std::string(argv[++i]);
     };
-    if (arg == "-o") {
+    if (const auto count = counts.find(arg); count != counts.end()) {
+      auto value = next();
+      if (!value.ok()) return value.error();
+      const Status parsed = std::visit(
+          [&](auto* field) { return parse_count(arg, value.value(), *field); }, count->second);
+      if (!parsed.ok()) return parsed.error();
+      if (arg == "--capacity") options.capacity_set = true;
+    } else if (arg == "-o") {
       auto value = next();
       if (!value.ok()) return value.error();
       options.out_path = value.value();
@@ -207,51 +238,10 @@ Result<Options> parse_options(int argc, char** argv) {
       auto value = next();
       if (!value.ok()) return value.error();
       options.campaign_path = value.value();
-    } else if (arg == "--seed") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.seed = std::stoull(value.value());
-    } else if (arg == "--variants") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.variants = std::stoi(value.value());
-    } else if (arg == "--jobs") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.jobs = std::stoi(value.value());
-    } else if (arg == "--hosts") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.hosts = std::stoi(value.value());
-    } else if (arg == "--docs") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.docs = std::stoi(value.value());
-    } else if (arg == "--shards") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.shards = std::stoi(value.value());
-    } else if (arg == "--capacity") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.capacity = std::stoi(value.value());
-      options.capacity_set = true;
-    } else if (arg == "--virtual-seconds") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.virtual_seconds = std::stoull(value.value());
     } else if (arg == "--traffic") {
       auto value = next();
       if (!value.ok()) return value.error();
       options.traffic = value.value();
-    } else if (arg == "--clients") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.clients = std::stoi(value.value());
-    } else if (arg == "--requests") {
-      auto value = next();
-      if (!value.ok()) return value.error();
-      options.requests = std::stoi(value.value());
     } else if (arg == "--cache-file") {
       auto value = next();
       if (!value.ok()) return value.error();
@@ -954,7 +944,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   auto options = parse_options(argc, argv);
-  if (!options.ok()) return fail(options.error().message);
+  if (!options.ok()) {
+    std::fprintf(stderr, "healers: %s\n", options.error().message.c_str());
+    return usage();
+  }
 
   core::Toolkit toolkit;
   if (command == "list-libs") return cmd_list_libs(toolkit);
