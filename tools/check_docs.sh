@@ -7,12 +7,10 @@
 #   2. Every relative markdown link in the repo's *.md files resolves to a
 #      file that exists (external http(s) links and pure #anchors are not
 #      checked).
-#   3. If the CLI exposes repair mode (`--repair` in `healers help`), the
-#      repair documentation must exist and stay reachable: docs/repair.md is
-#      present and referenced from docs/cli.md, docs/architecture.md, and
-#      README.md.
-#   4. Same for debloat mode: while `--debloat` exists, docs/debloat.md must
-#      be present and referenced from the same three entry points.
+#   3. While the CLI exposes an opt-in mode (`--repair`, `--debloat` in
+#      `healers help`), its documentation (docs/repair.md, docs/debloat.md)
+#      must exist and be referenced from docs/cli.md, docs/architecture.md,
+#      and README.md.
 #
 # Usage: tools/check_docs.sh <healers-binary> <repo-root>
 set -eu
@@ -56,40 +54,24 @@ for cmd in $doc_commands; do
   fi
 done
 
-# --- 1c. repair mode ships with its documentation ---------------------------
-# The repair flag is only as usable as its policy spec; if the CLI grows (or
-# keeps) --repair, docs/repair.md must exist and the entry points must link it.
-if printf '%s\n' "$flags" | grep -qx -- '--repair'; then
-  if [ ! -f "$root/docs/repair.md" ]; then
-    echo "check_docs: 'healers help' lists --repair but docs/repair.md is missing" >&2
+# --- 1c. opt-in modes ship with their documentation --------------------------
+# --repair is only as usable as its policy spec, and --debloat is a security
+# contract (out-of-profile calls trap). While the CLI lists a mode's flag, its
+# doc must exist and the three entry points must link it.
+for mode in repair debloat; do
+  printf '%s\n' "$flags" | grep -qx -- "--$mode" || continue
+  if [ ! -f "$root/docs/$mode.md" ]; then
+    echo "check_docs: 'healers help' lists --$mode but docs/$mode.md is missing" >&2
     fail=1
-  else
-    for ref in docs/cli.md docs/architecture.md README.md; do
-      if ! grep -q 'repair\.md' "$root/$ref"; then
-        echo "check_docs: $ref does not reference docs/repair.md (required while --repair exists)" >&2
-        fail=1
-      fi
-    done
+    continue
   fi
-fi
-
-# --- 1d. debloat mode ships with its documentation --------------------------
-# Demand loading is a security contract (out-of-profile calls trap); if the
-# CLI grows (or keeps) --debloat, docs/debloat.md must exist and the entry
-# points must link it.
-if printf '%s\n' "$flags" | grep -qx -- '--debloat'; then
-  if [ ! -f "$root/docs/debloat.md" ]; then
-    echo "check_docs: 'healers help' lists --debloat but docs/debloat.md is missing" >&2
-    fail=1
-  else
-    for ref in docs/cli.md docs/architecture.md README.md; do
-      if ! grep -q 'debloat\.md' "$root/$ref"; then
-        echo "check_docs: $ref does not reference docs/debloat.md (required while --debloat exists)" >&2
-        fail=1
-      fi
-    done
-  fi
-fi
+  for ref in docs/cli.md docs/architecture.md README.md; do
+    if ! grep -q "$mode\.md" "$root/$ref"; then
+      echo "check_docs: $ref does not reference docs/$mode.md (required while --$mode exists)" >&2
+      fail=1
+    fi
+  done
+done
 
 # --- 2. every relative markdown link resolves -------------------------------
 for md in "$root"/*.md "$root"/docs/*.md; do
