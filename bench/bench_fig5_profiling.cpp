@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "core/toolkit.hpp"
-#include "profile/collector.hpp"
+#include "fleet/collector.hpp"
 #include "profile/report.hpp"
 
 using namespace healers;
@@ -66,9 +66,11 @@ void print_report() {
   const auto report_c = profile::build_report("texttool", wrap_c->name(), *wrap_c->stats());
   std::printf("%s\n%s\n", profile::render(report_io).c_str(), profile::render(report_c).c_str());
 
-  profile::CollectorServer server;
-  server.ingest(xml::serialize(profile::to_xml(report_io)));
-  server.ingest(xml::serialize(profile::to_xml(report_c)));
+  // The paper's collector server: one shard, one (inline) flush worker.
+  fleet::FleetCollector server({.shards = 1, .workers = 1});
+  server.submit(xml::serialize(profile::to_xml(report_io)));
+  server.submit(xml::serialize(profile::to_xml(report_c)));
+  server.flush();
   std::printf("%s\n", server.render_summary().c_str());
 }
 
@@ -106,8 +108,10 @@ void BM_XmlShipAndIngest(benchmark::State& state) {
   run_workload(*proc, 5);
   const auto report = profile::build_report("texttool", wrapper->name(), *wrapper->stats());
   for (auto _ : state) {
-    profile::CollectorServer server;
-    benchmark::DoNotOptimize(server.ingest(xml::serialize(profile::to_xml(report))).ok());
+    fleet::FleetCollector server({.shards = 1, .workers = 1});
+    server.submit(xml::serialize(profile::to_xml(report)));
+    server.flush();
+    benchmark::DoNotOptimize(server.aggregated());
   }
 }
 

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/toolkit.hpp"
-#include "profile/collector.hpp"
+#include "fleet/collector.hpp"
 #include "profile/report.hpp"
 
 using namespace healers;
@@ -70,10 +70,12 @@ int main() {
   const std::string doc_io = xml::serialize(profile::to_xml(report_io));
   std::printf("XML document shipped to the collector (libsimio wrapper):\n%s\n", doc_io.c_str());
 
-  // "... sent to a central server ... stored for later processing."
-  profile::CollectorServer server;
-  server.ingest(doc_c);
-  server.ingest(doc_io);
+  // "... sent to a central server ... stored for later processing." The
+  // paper's single server is a fleet collector with one shard and one worker.
+  fleet::FleetCollector server({.shards = 1, .workers = 1});
+  server.submit(doc_c);
+  server.submit(doc_io);
+  server.flush();
   std::printf("%s\n", server.render_summary().c_str());
 
   // The Fig 5 view, table and chart ("automatically generate graphics").

@@ -26,7 +26,6 @@
 #include "gen/composer.hpp"
 #include "injector/injector.hpp"
 #include "linker/executable.hpp"
-#include "profile/collector.hpp"
 #include "support/result.hpp"
 #include "wrappers/wrappers.hpp"
 #include "xml/xml.hpp"

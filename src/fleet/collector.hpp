@@ -1,7 +1,6 @@
-// Fleet-scale collection service (ROADMAP: sharding, batching, async).
-//
-// profile::CollectorServer is the paper's single-process server; this is the
-// service you would actually deploy in front of a fleet:
+// The collection service (paper §2.3), sharded for fleet scale. The paper's
+// single-process collector server is one configuration of it — one shard and
+// one flush worker, whose pool runs inline ({.shards = 1, .workers = 1}):
 //
 //   producers --submit()--> per-shard bounded MPSC queues   (backpressure)
 //                 flush():  batched decode on support::ThreadPool

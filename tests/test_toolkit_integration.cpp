@@ -10,7 +10,7 @@
 
 #include "attacks/attacks.hpp"
 #include "core/toolkit.hpp"
-#include "profile/collector.hpp"
+#include "fleet/collector.hpp"
 #include "profile/report.hpp"
 #include "testbed.hpp"
 
@@ -138,9 +138,11 @@ TEST_F(ToolkitFixture, WrappedExecutableProfileReachesCollector) {
   toolkit.spawn(app, {wrapper})->run(app.entry);
 
   const auto report = profile::build_report(app.name, wrapper->name(), *wrapper->stats());
-  profile::CollectorServer server;
-  ASSERT_TRUE(server.ingest(xml::serialize(profile::to_xml(report))).ok());
-  const auto agg = server.aggregate();
+  fleet::FleetCollector server({.shards = 1, .workers = 1});
+  server.submit(xml::serialize(profile::to_xml(report)));
+  server.flush();
+  ASSERT_EQ(server.aggregated(), 1u);
+  const auto agg = server.snapshot().functions;
   EXPECT_EQ(agg.at("strlen").calls, 1u);
   EXPECT_EQ(agg.at("wctrans").errno_counts.at(simlib::kEINVAL), 1u);
 }
