@@ -8,19 +8,6 @@ namespace healers::debloat {
 
 namespace {
 
-Result<std::uint64_t> parse_u64(const xml::Node& node, std::string_view attr) {
-  const std::string* raw = node.attr(attr);
-  if (raw == nullptr) return Error("surface-profile: missing attribute " + std::string(attr));
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(*raw, &used, 10);
-    if (used != raw->size()) return Error("surface-profile: malformed " + std::string(attr));
-    return value;
-  } catch (const std::exception&) {
-    return Error("surface-profile: malformed " + std::string(attr));
-  }
-}
-
 void add_symbol_list(xml::Node& root, const std::string& name,
                      const std::vector<std::string>& symbols) {
   xml::Node& list = root.add_child(name);
@@ -120,7 +107,7 @@ Result<SurfaceProfile> surface_from_xml(const xml::Node& root) {
            {"trapped", &out.trapped},
            {"resident_pages", &out.resident_pages},
            {"total_pages", &out.total_pages}}) {
-    auto value = parse_u64(root, field);
+    auto value = root.attr_u64(field);
     if (!value.ok()) return value.error();
     *target = value.value();
   }

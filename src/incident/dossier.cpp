@@ -1,6 +1,7 @@
 #include "incident/dossier.hpp"
 
 #include <array>
+#include <limits>
 
 namespace healers::incident {
 
@@ -18,17 +19,10 @@ constexpr std::array<RepairAction, 4> kAllActions = {
     RepairAction::kTruncateWrite, RepairAction::kSubstituteBounded,
     RepairAction::kSynthesizeInput, RepairAction::kSafeReturn};
 
-Result<std::uint64_t> parse_u64(const xml::Node& node, std::string_view attr) {
-  const std::string* raw = node.attr(attr);
-  if (raw == nullptr) return Error("dossier: missing attribute " + std::string(attr));
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(*raw, &used, 0);  // accepts 0x... and decimal
-    if (used != raw->size()) return Error("dossier: malformed " + std::string(attr));
-    return value;
-  } catch (const std::exception&) {
-    return Error("dossier: malformed " + std::string(attr));
-  }
+// The 0/1 `suspect` flag, written only when set.
+Result<std::uint64_t> suspect_flag(const xml::Node& row) {
+  if (row.attr("suspect") == nullptr) return std::uint64_t{0};
+  return row.attr_u64("suspect", 1);
 }
 
 std::string attr_or_empty(const xml::Node& node, std::string_view key) {
@@ -168,14 +162,18 @@ Result<Dossier> from_xml(const xml::Node& node) {
   if (!kind.ok()) return kind.error();
   out.detector = kind.value();
   out.symbol = attr_or_empty(node, "symbol");
-  for (const auto& [field, target] :
-       std::initializer_list<std::pair<const char*, std::uint64_t*>>{
-           {"seq", &out.seq}, {"tick", &out.tick}, {"cycles", &out.cycles},
-           {"fault_addr", &out.fault_addr}}) {
-    auto value = parse_u64(node, field);
-    if (!value.ok()) return value.error();
-    *target = value.value();
+  // Addresses and digests are written in hex (hex_addr), counters in decimal.
+  auto seq = node.attr_u64("seq");
+  auto tick = node.attr_u64("tick");
+  auto cycles = node.attr_u64("cycles");
+  auto fault_addr = node.attr_hex("fault_addr");
+  for (const auto* field : {&seq, &tick, &cycles, &fault_addr}) {
+    if (!field->ok()) return field->error();
   }
+  out.seq = seq.value();
+  out.tick = tick.value();
+  out.cycles = cycles.value();
+  out.fault_addr = fault_addr.value();
   if (const xml::Node* detail = node.child("detail")) out.detail = detail->text();
 
   if (const xml::Node* call = node.child("call")) {
@@ -188,11 +186,11 @@ Result<Dossier> from_xml(const xml::Node& node) {
     for (const xml::Node* row : trace_node->children_named("event")) {
       TraceEntry entry;
       entry.symbol = attr_or_empty(*row, "symbol");
-      auto seq = parse_u64(*row, "seq");
-      auto tick = parse_u64(*row, "tick");
-      auto cycles = parse_u64(*row, "cycles");
-      auto argc = parse_u64(*row, "argc");
-      auto digest = parse_u64(*row, "digest");
+      auto seq = row->attr_u64("seq");
+      auto tick = row->attr_u64("tick");
+      auto cycles = row->attr_u64("cycles");
+      auto argc = row->attr_u64("argc", std::numeric_limits<std::uint32_t>::max());
+      auto digest = row->attr_hex("digest");
       for (const auto* field : {&seq, &tick, &cycles, &argc, &digest}) {
         if (!field->ok()) return field->error();
       }
@@ -209,17 +207,19 @@ Result<Dossier> from_xml(const xml::Node& node) {
     out.heap_note = attr_or_empty(*heap_node, "note");
     for (const xml::Node* row : heap_node->children_named("chunk")) {
       ChunkState chunk;
-      auto header = parse_u64(*row, "header");
-      auto user = parse_u64(*row, "user");
-      auto size = parse_u64(*row, "size");
-      for (const auto* field : {&header, &user, &size}) {
+      auto header = row->attr_hex("header");
+      auto user = row->attr_hex("user");
+      auto size = row->attr_u64("size");
+      auto in_use = row->attr_u64("in_use", 1);
+      auto suspect = suspect_flag(*row);
+      for (const auto* field : {&header, &user, &size, &in_use, &suspect}) {
         if (!field->ok()) return field->error();
       }
       chunk.header = header.value();
       chunk.user = user.value();
       chunk.size = size.value();
-      chunk.in_use = row->attr_int("in_use", 0) != 0;
-      chunk.suspect = row->attr_int("suspect", 0) != 0;
+      chunk.in_use = in_use.value() != 0;
+      chunk.suspect = suspect.value() != 0;
       out.heap.push_back(chunk);
     }
   }
@@ -227,10 +227,11 @@ Result<Dossier> from_xml(const xml::Node& node) {
   if (const xml::Node* regions_node = node.child("regions")) {
     for (const xml::Node* row : regions_node->children_named("region")) {
       RegionState region;
-      auto base = parse_u64(*row, "base");
-      auto size = parse_u64(*row, "size");
-      auto perm = parse_u64(*row, "perm");
-      for (const auto* field : {&base, &size, &perm}) {
+      auto base = row->attr_hex("base");
+      auto size = row->attr_u64("size");
+      auto perm = row->attr_u64("perm", std::numeric_limits<std::uint8_t>::max());
+      auto suspect = suspect_flag(*row);
+      for (const auto* field : {&base, &size, &perm, &suspect}) {
         if (!field->ok()) return field->error();
       }
       region.base = base.value();
@@ -238,7 +239,7 @@ Result<Dossier> from_xml(const xml::Node& node) {
       region.perm = static_cast<std::uint8_t>(perm.value());
       region.kind = attr_or_empty(*row, "kind");
       region.label = attr_or_empty(*row, "label");
-      region.suspect = row->attr_int("suspect", 0) != 0;
+      region.suspect = suspect.value() != 0;
       out.regions.push_back(std::move(region));
     }
   }
@@ -251,11 +252,11 @@ Result<Dossier> from_xml(const xml::Node& node) {
       repair.action = action.value();
       repair.symbol = attr_or_empty(*row, "symbol");
       repair.detail = attr_or_empty(*row, "detail");
-      auto seq = parse_u64(*row, "seq");
-      auto tick = parse_u64(*row, "tick");
-      auto addr = parse_u64(*row, "addr");
-      auto requested = parse_u64(*row, "requested");
-      auto granted = parse_u64(*row, "granted");
+      auto seq = row->attr_u64("seq");
+      auto tick = row->attr_u64("tick");
+      auto addr = row->attr_hex("addr");
+      auto requested = row->attr_u64("requested");
+      auto granted = row->attr_u64("granted");
       for (const auto* field : {&seq, &tick, &addr, &requested, &granted}) {
         if (!field->ok()) return field->error();
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "simlib/cerrno.hpp"
@@ -93,6 +94,25 @@ xml::Node to_xml(const ProfileReport& report) {
   return node;
 }
 
+namespace {
+
+// Reads the <error errno= count=> rows under `parent` into `counts`. Each
+// errno appears once, as the encoder writes it (and as HFB1 requires).
+Status read_errnos(const xml::Node& parent, std::map<int, std::uint64_t>& counts) {
+  for (const xml::Node* err_el : parent.children_named("error")) {
+    auto err = err_el->attr_u64("errno", std::numeric_limits<int>::max());
+    if (!err.ok()) return err.error();
+    auto count = err_el->attr_u64("count");
+    if (!count.ok()) return count.error();
+    if (!counts.emplace(static_cast<int>(err.value()), count.value()).second) {
+      return Error("<error> duplicate errno " + std::to_string(err.value()));
+    }
+  }
+  return Status::success();
+}
+
+}  // namespace
+
 Result<ProfileReport> from_xml(const xml::Node& node) {
   if (node.name() != "profile") return Error("expected <profile>");
   ProfileReport report;
@@ -103,19 +123,23 @@ Result<ProfileReport> from_xml(const xml::Node& node) {
     const std::string* name = fn_el->attr("name");
     if (name == nullptr) return Error("<function> missing name");
     fn.symbol = *name;
-    fn.calls = static_cast<std::uint64_t>(fn_el->attr_int("calls", 0));
-    fn.cycles = static_cast<std::uint64_t>(fn_el->attr_int("cycles", 0));
-    fn.contained = static_cast<std::uint64_t>(fn_el->attr_int("contained", 0));
-    for (const xml::Node* err_el : fn_el->children_named("error")) {
-      fn.errno_counts[static_cast<int>(err_el->attr_int("errno", 0))] +=
-          static_cast<std::uint64_t>(err_el->attr_int("count", 0));
+    auto calls = fn_el->attr_u64("calls");
+    auto cycles = fn_el->attr_u64("cycles");
+    // The encoder omits contained="0".
+    auto contained = fn_el->attr("contained") == nullptr ? Result<std::uint64_t>(0)
+                                                        : fn_el->attr_u64("contained");
+    for (const auto* field : {&calls, &cycles, &contained}) {
+      if (!field->ok()) return field->error();
     }
+    fn.calls = calls.value();
+    fn.cycles = cycles.value();
+    fn.contained = contained.value();
+    if (Status errnos = read_errnos(*fn_el, fn.errno_counts); !errnos.ok()) return errnos.error();
     report.functions.push_back(std::move(fn));
   }
   if (const xml::Node* global = node.child("errors")) {
-    for (const xml::Node* err_el : global->children_named("error")) {
-      report.global_errnos[static_cast<int>(err_el->attr_int("errno", 0))] +=
-          static_cast<std::uint64_t>(err_el->attr_int("count", 0));
+    if (Status errnos = read_errnos(*global, report.global_errnos); !errnos.ok()) {
+      return errnos.error();
     }
   }
   return report;

@@ -69,6 +69,38 @@ long long Node::attr_int(std::string_view key, long long fallback) const noexcep
   return value;
 }
 
+namespace {
+
+// Parses all of `digits` in `base`; false on anything else (empty, a sign,
+// overflow).
+bool parse_unsigned(std::string_view digits, int base, std::uint64_t& value) {
+  const char* const end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, value, base);
+  return error == std::errc{} && stop == end;
+}
+
+}  // namespace
+
+Result<std::uint64_t> Node::attr_u64(std::string_view key, std::uint64_t max) const {
+  const std::string* raw = attr(key);
+  if (raw == nullptr) return Error("<" + name_ + "> missing attribute " + std::string(key));
+  std::uint64_t value = 0;
+  if (!parse_unsigned(*raw, 10, value) || value > max) {
+    return Error("<" + name_ + "> malformed attribute " + std::string(key) + "=\"" + *raw + "\"");
+  }
+  return value;
+}
+
+Result<std::uint64_t> Node::attr_hex(std::string_view key) const {
+  const std::string* raw = attr(key);
+  if (raw == nullptr) return Error("<" + name_ + "> missing attribute " + std::string(key));
+  std::uint64_t value = 0;
+  if (!raw->starts_with("0x") || !parse_unsigned(std::string_view(*raw).substr(2), 16, value)) {
+    return Error("<" + name_ + "> malformed attribute " + std::string(key) + "=\"" + *raw + "\"");
+  }
+  return value;
+}
+
 std::string escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());

@@ -12,6 +12,8 @@
 // attributes, character data, comments).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -57,6 +59,14 @@ class Node {
   // Attribute lookup that parses as integer; returns fallback when missing or
   // malformed (profiling documents from older wrappers may lack fields).
   [[nodiscard]] long long attr_int(std::string_view key, long long fallback) const noexcept;
+
+  // Strict unsigned attributes, for the decoders that must never return a
+  // partial document: attr_u64 takes decimal digits only, attr_hex takes
+  // "0x" and hex digits (the fields an encoder writes in hex). A missing,
+  // empty, signed or non-numeric value is an error, and so is one above `max`.
+  [[nodiscard]] Result<std::uint64_t> attr_u64(
+      std::string_view key, std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
+  [[nodiscard]] Result<std::uint64_t> attr_hex(std::string_view key) const;
 
  private:
   std::string name_;

@@ -157,6 +157,17 @@ TEST(SurfaceProfile, XmlRoundTripIsExactAndDeterministic) {
   EXPECT_EQ(decoded.value().to_xml(), doc);
 }
 
+// Counts are strict unsigned decimals: a lenient decoder read
+// exported="-1" as 2^64-1.
+TEST(SurfaceProfile, XmlCountsAreStrictDecimals) {
+  const std::string doc = captured_profile().to_xml();
+  for (const char* bad : {"-1", "+1", " 1", "0x10", "18446744073709551616", ""}) {
+    xml::Node root = std::move(xml::parse(doc)).take();
+    root.set_attr("exported", bad);
+    EXPECT_FALSE(surface_from_xml(root).ok()) << "exported=\"" << bad << "\"";
+  }
+}
+
 TEST(SurfaceProfile, BinaryRoundTripIsExactAndStrict) {
   const SurfaceProfile profile = captured_profile();
   const std::string binary = fleet::encode_surface_binary(profile);

@@ -247,6 +247,33 @@ TEST(DossierSerialization, BinaryRoundTrip) {
   EXPECT_TRUE(round.value() == dossier);
 }
 
+// Counters are strict decimals, addresses strict "0x" hex. A lenient decoder
+// wrapped seq="-5", read seq="010" as octal 8, and took a decimal fault_addr.
+TEST(DossierSerialization, XmlNumbersAreStrict) {
+  const std::string doc = xml::serialize(capture_heap_dossier().to_xml());
+  const auto decode_with = [&doc](const char* key, const char* value) {
+    xml::Node root = std::move(xml::parse(doc)).take();
+    root.set_attr(key, value);
+    return from_xml(root);
+  };
+  for (const char* bad : {"-5", "+5", "0x10", " 5", ""}) {
+    EXPECT_FALSE(decode_with("seq", bad).ok()) << "seq=\"" << bad << "\"";
+  }
+  for (const char* bad : {"12", "-0x1", "0x", "0xg"}) {
+    EXPECT_FALSE(decode_with("fault_addr", bad).ok()) << "fault_addr=\"" << bad << "\"";
+  }
+  const auto decimal = decode_with("seq", "010");
+  ASSERT_TRUE(decimal.ok()) << decimal.error().message;
+  EXPECT_EQ(decimal.value().seq, 10u);
+  // Chunk and region flags are 0 or 1; a lenient decoder read "2" as set and
+  // "x" as clear.
+  for (const char* bad : {"2", "x"}) {
+    xml::Node root = std::move(xml::parse(doc)).take();
+    root.child("heap")->children().front()->set_attr("in_use", bad);
+    EXPECT_FALSE(from_xml(root).ok()) << "in_use=\"" << bad << "\"";
+  }
+}
+
 TEST(DossierSerialization, TruncatedBinaryIsRejected) {
   const std::string wire = fleet::encode_dossier_binary(capture_heap_dossier());
   EXPECT_FALSE(fleet::record::decode<incident::Dossier>(wire.substr(0, wire.size() / 2)).ok());
