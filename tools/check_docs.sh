@@ -1,9 +1,10 @@
 #!/bin/sh
 # Documentation drift check, run as a CTest (`check_docs`):
 #
-#   1. docs/cli.md must cover the real CLI: every subcommand and every flag
-#      printed by `healers help` appears in the reference, and every
-#      `healers <subcommand>` the reference documents still exists.
+#   1. docs/cli.md is the CLI's manifest: each command form `healers help`
+#      prints has a `### healers <form>` heading that lists the same flags,
+#      flag for flag, and every `healers <subcommand>` the reference
+#      documents still exists.
 #   2. Every relative markdown link in the repo's *.md files resolves to a
 #      file that exists (external http(s) links and pure #anchors are not
 #      checked).
@@ -24,24 +25,40 @@ fail=0
 
 help_text="$("$healers" help)"
 
-# --- 1a. every real subcommand and flag is documented -----------------------
-# Subcommands are the first word of each indented usage line; continuation
-# lines (deeper indentation or punctuation starts) don't introduce commands.
+# --- 1a. each command form's heading lists exactly its flags ----------------
+# `healers help` prints one synopsis per command form, indented two spaces;
+# docs/cli.md heads each form's section with the same synopsis. A form is the
+# synopsis's leading lowercase words ("fleet ingest"); its flags are every
+# --long flag plus -o. The two sides must agree in both directions.
+manifest() {
+  while IFS= read -r synopsis; do
+    [ -n "$synopsis" ] || continue
+    form="$(printf '%s\n' "$synopsis" |
+      awk '{ f = $1; for (i = 2; i <= NF && $i ~ /^[a-z][a-z-]*$/; i++) f = f " " $i; print f }')"
+    synopsis_flags="$(printf '%s\n' "$synopsis" | grep -oE -- '--[a-z][a-z-]*|\[-o ' |
+      sed 's/^\[//; s/ $//' | sort -u | tr '\n' ' ')"
+    printf '%s:%s\n' "$form" "$synopsis_flags"
+  done
+}
 commands="$(printf '%s\n' "$help_text" | sed -n 's/^  \([a-z][a-z-]*\).*/\1/p' | sort -u)"
 flags="$(printf '%s\n' "$help_text" | grep -o -- '--[a-z-]*' | sort -u)"
+help_manifest="$(printf '%s\n' "$help_text" | sed -n 's/^  \([a-z].*\)$/\1/p' | manifest)"
+doc_manifest="$(sed -n 's/^### `healers \(.*\)`$/\1/p' "$cli_doc" | manifest)"
 
-for cmd in $commands; do
-  if ! grep -q "healers $cmd" "$cli_doc"; then
-    echo "check_docs: subcommand '$cmd' is in 'healers help' but not documented in docs/cli.md" >&2
-    fail=1
-  fi
-done
-for flag in $flags; do
-  if ! grep -q -- "$flag" "$cli_doc"; then
-    echo "check_docs: flag '$flag' is in 'healers help' but not documented in docs/cli.md" >&2
-    fail=1
-  fi
-done
+while IFS= read -r entry; do
+  printf '%s\n' "$doc_manifest" | grep -qxF -- "$entry" && continue
+  echo "check_docs: 'healers help' has '${entry%%:*}' with flags [${entry#*:}] but no docs/cli.md heading lists exactly those" >&2
+  fail=1
+done <<EOF_HELP
+$help_manifest
+EOF_HELP
+while IFS= read -r entry; do
+  printf '%s\n' "$help_manifest" | grep -qxF -- "$entry" && continue
+  echo "check_docs: docs/cli.md heads '${entry%%:*}' with flags [${entry#*:}] but 'healers help' does not list exactly those" >&2
+  fail=1
+done <<EOF_DOC
+$doc_manifest
+EOF_DOC
 
 # --- 1b. no documented subcommand has rotted away ---------------------------
 # The reference marks each documented subcommand with a '### `healers <cmd>'
