@@ -13,14 +13,14 @@ namespace healers::debloat {
 namespace {
 
 // Resolves `symbol` against the executable's needed libraries in DT_NEEDED
-// order, exactly like the loader's search. nullptr when nothing defines it.
-const simlib::Symbol* resolve_in_needed(const std::string& symbol,
-                                        const std::vector<std::string>& needed,
-                                        const linker::LibraryCatalog& catalog) {
+// order, exactly like the loader's search, and returns the defining library.
+// nullptr when nothing defines it.
+const simlib::SharedLibrary* resolve_in_needed(const std::string& symbol,
+                                               const std::vector<std::string>& needed,
+                                               const linker::LibraryCatalog& catalog) {
   for (const std::string& soname : needed) {
     const simlib::SharedLibrary* lib = catalog.find(soname);
-    if (lib == nullptr) continue;
-    if (const simlib::Symbol* found = lib->find(symbol)) return found;
+    if (lib != nullptr && lib->defines(symbol)) return lib;
   }
   return nullptr;
 }
@@ -83,9 +83,9 @@ ReachabilityReport compute_reachability(const linker::Executable& exe,
   while (!worklist.empty()) {
     const std::string caller = std::move(worklist.front());
     worklist.pop_front();
-    const simlib::Symbol* symbol = resolve_in_needed(caller, exe.needed, catalog);
-    if (symbol == nullptr) continue;
-    auto page = parser::parse_manpage(symbol->manpage);
+    const simlib::SharedLibrary* owner = resolve_in_needed(caller, exe.needed, catalog);
+    if (owner == nullptr) continue;
+    const Result<parser::ManPage>& page = owner->parsed_manpage(caller);
     if (!page.ok()) continue;  // no edges from an unparseable page
     for (const std::string& callee : page.value().calls) {
       if (resolve_in_needed(callee, exe.needed, catalog) == nullptr) continue;

@@ -1,12 +1,13 @@
 // The automated fault-injection campaign engine (paper §2.2, Fig 2).
 //
-// For each function in a library the driver parses its man page (prototype
-// + semantic hints, memoized per campaign), then probes every argument with
-// every test type of its class: each probe runs in a FRESH simulated process
-// (the analogue of the paper's one-child-per-probe driver) with the
-// remaining arguments held at their safest values, under a reduced step
-// budget (the watchdog timeout). Outcomes are reaped into TypeVerdicts and
-// folded into DerivedChecks — the robust API the wrapper generator consumes.
+// For each function in a library the driver reads its man page (prototype
+// + semantic hints; SharedLibrary::parsed_manpage parses each once per
+// library), then probes every argument with every test type of its class:
+// each probe runs in a FRESH simulated process (the analogue of the paper's
+// one-child-per-probe driver) with the remaining arguments held at their
+// safest values, under a reduced step budget (the watchdog timeout).
+// Outcomes are reaped into TypeVerdicts and folded into DerivedChecks — the
+// robust API the wrapper generator consumes.
 //
 // The paper notes every probe is an independent child process, i.e. the
 // campaign is embarrassingly parallel. This engine exploits that:
@@ -46,7 +47,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -150,13 +150,6 @@ class FaultInjector {
   [[nodiscard]] CampaignEngineStats engine_stats() const noexcept;
 
  private:
-  // A memoized man page: parsed once per (library, function) per injector,
-  // not once per probe_function call.
-  struct PageEntry {
-    bool ok = false;
-    parser::ManPage page;
-    std::string error;
-  };
   // One probe coordinate at (function, argument) granularity: the worker
   // walks the argument's whole test-type lattice so implications resolve
   // inside one task (the per-(function, arg, type) implication cache is the
@@ -188,8 +181,6 @@ class FaultInjector {
     linker::Process::Snapshot base;
     std::vector<simlib::SimValue> safe_args;
   };
-
-  const PageEntry& page_for(const simlib::SharedLibrary& lib, const simlib::Symbol& symbol);
 
   // The machine config every probe process (and the shared pristine state)
   // is built with.
@@ -264,9 +255,6 @@ class FaultInjector {
   std::atomic<std::uint64_t> pages_faulted_{0};
   std::atomic<std::uint64_t> pages_privatized_{0};
   std::atomic<std::uint64_t> pages_dropped_{0};
-
-  std::mutex pages_mutex_;
-  std::map<std::string, PageEntry> pages_;  // node-stable; keyed soname:function
 
   std::unique_ptr<support::ThreadPool> pool_;  // created on first parallel run
 };

@@ -43,6 +43,20 @@ std::uint64_t SharedLibrary::fingerprint() const noexcept {
   return hash;
 }
 
+const Result<parser::ManPage>& SharedLibrary::parsed_manpage(const std::string& name) const {
+  const Symbol* symbol = find(name);
+  if (symbol == nullptr) {
+    throw std::out_of_range("SharedLibrary::parsed_manpage: " + soname_ + " does not define " +
+                            name);
+  }
+  std::lock_guard lock(pages_->mutex);
+  auto it = pages_->pages.find(name);
+  if (it == pages_->pages.end()) {
+    it = pages_->pages.emplace(name, parser::parse_manpage(symbol->manpage)).first;
+  }
+  return it->second;
+}
+
 std::string SharedLibrary::header_text() const {
   std::string out = "/* " + soname_ + " " + version_ + " */\n";
   for (const auto& [_, symbol] : symbols_) {

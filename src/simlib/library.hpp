@@ -9,15 +9,20 @@
 //
 // The toolkit never reads prototypes out of band: it parses header_text()
 // and manpages with src/parser, exactly as the paper's tool parsed glibc's
-// headers and man pages.
+// headers and man pages. The library owns its parsed man pages
+// (parsed_manpage), so every consumer shares one parse per symbol.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "parser/manpage.hpp"
 #include "simlib/value.hpp"
+#include "support/result.hpp"
 
 namespace healers::simlib {
 
@@ -57,10 +62,23 @@ class SharedLibrary {
   // it so an updated library never serves stale specs.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
+  // The parsed man page of a defined symbol, or its parse error. A page is
+  // parsed on its first request, under a lock, and the result lives as long
+  // as the library: the campaign engine, the wrapper builder, the repair
+  // policy and the reachability closure all read the same object. Throws
+  // std::out_of_range for a name the library does not define.
+  [[nodiscard]] const Result<parser::ManPage>& parsed_manpage(const std::string& name) const;
+
  private:
+  struct PageMemo {
+    std::mutex mutex;
+    std::map<std::string, Result<parser::ManPage>> pages;  // node-stable; never erased
+  };
+
   std::string soname_;
   std::string version_;
   std::map<std::string, Symbol> symbols_;
+  std::unique_ptr<PageMemo> pages_ = std::make_unique<PageMemo>();
 };
 
 // Builders for the stock simulated libraries (see each funcs_*.cpp):
