@@ -3,8 +3,9 @@
 #
 #   1. docs/cli.md is the CLI's manifest: each command form `healers help`
 #      prints has a `### healers <form>` heading that lists the same flags,
-#      flag for flag, and every `healers <subcommand>` the reference
-#      documents still exists.
+#      flag for flag, with the same operand or `--type` values marked on the
+#      flags only those values take, and every `healers <subcommand>` the
+#      reference documents still exists.
 #   2. Every relative markdown link in the repo's *.md files resolves to a
 #      file that exists (external http(s) links and pure #anchors are not
 #      checked).
@@ -29,7 +30,8 @@ help_text="$("$healers" help)"
 # `healers help` prints one synopsis per command form, indented two spaces;
 # docs/cli.md heads each form's section with the same synopsis. A form is the
 # synopsis's leading lowercase words ("fleet ingest"); its flags are every
-# --long flag plus -o. The two sides must agree in both directions.
+# --long flag plus -o, and a flag only some values take carries them as
+# "[--seed N (--type testing)]". The two sides must agree in both directions.
 manifest() {
   while IFS= read -r synopsis; do
     [ -n "$synopsis" ] || continue
@@ -37,7 +39,9 @@ manifest() {
       awk '{ f = $1; for (i = 2; i <= NF && $i ~ /^[a-z][a-z-]*$/; i++) f = f " " $i; print f }')"
     synopsis_flags="$(printf '%s\n' "$synopsis" | grep -oE -- '--[a-z][a-z-]*|\[-o ' |
       sed 's/^\[//; s/ $//' | sort -u | tr '\n' ' ')"
-    printf '%s:%s\n' "$form" "$synopsis_flags"
+    scoped_flags="$(printf '%s\n' "$synopsis" | grep -oE -- '\[--[a-z-]+[^][]* \([^)]*\)\]' |
+      sed 's/^\[\(--[a-z-]*\).* (\(.*\))\]$/\1(\2)/' | sort | tr '\n' ' ')"
+    printf '%s:%s%s\n' "$form" "$synopsis_flags" "$scoped_flags"
   done
 }
 commands="$(printf '%s\n' "$help_text" | sed -n 's/^  \([a-z][a-z-]*\).*/\1/p' | sort -u)"
