@@ -18,7 +18,8 @@
 //
 //   u32(x) / u64(x)     an integer or enum in 4 / 8 bytes; i64 is its
 //                       two's-complement image
-//   u32(e, last)        an enum stored as u32, at most `last`
+//   u32(e, last)        an enum or integer stored as u32, at most `last`
+//                       (an int bounded by INT_MAX reads no negative word)
 //   str(s)              u32 length + bytes
 //   flags(b...)         a u32 bit word, first argument in bit 0; a
 //                       std::optional argument contributes its presence
@@ -294,7 +295,9 @@ class Reader {
   template <class E>
   void u32(E& value, E last) {
     const std::uint32_t wire = cursor_.u32();
-    if (wire > static_cast<std::uint32_t>(last)) return fail("enum out of range");
+    if (wire > static_cast<std::uint32_t>(last)) {
+      return fail(std::is_enum_v<E> ? "enum out of range" : "integer out of range");
+    }
     value = static_cast<E>(wire);
   }
   template <class I>

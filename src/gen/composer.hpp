@@ -72,9 +72,10 @@ class WrapperBuilder {
 
   WrapperBuilder& add(MicroGeneratorPtr gen);
 
-  // Builds the executable wrapper over every function of `lib` whose man
-  // page parses. `campaign` (optional) supplies robust specs to generators
-  // that use them. Fails when the library has no wrappable function.
+  // Builds the executable wrapper over every function of `lib`. `campaign`
+  // (optional) supplies robust specs to generators that use them. Fails
+  // with "wrapping <name>: <parse error>" when any function's man page does
+  // not parse, and when the library has no functions.
   [[nodiscard]] Result<std::shared_ptr<ComposedWrapper>> build(
       const simlib::SharedLibrary& lib,
       const injector::CampaignResult* campaign = nullptr) const;

@@ -70,8 +70,8 @@ void Process::enable_demand_loading(std::vector<std::string> profile) {
                   std::make_move_iterator(profile.end()));
 }
 
-void Process::fault_in_symbol(const std::string& symbol) {
-  machine_.define_got_slot(symbol);
+mem::Addr Process::fault_in_symbol(const std::string& symbol) {
+  const mem::Addr slot = machine_.define_got_slot(symbol);
   // The symbol's code pages fault into the COW space as a one-page
   // read-only region; resident_pages() over "text:" regions is the working
   // set the surface profile reports.
@@ -87,6 +87,7 @@ void Process::fault_in_symbol(const std::string& symbol) {
                          symbol);
   ++surface_.mapped;
   touched_.insert(symbol);
+  return slot;
 }
 
 void Process::trap_surface_violation(const std::string& symbol,
@@ -109,7 +110,7 @@ const simlib::Symbol* Process::resolve(const std::string& symbol) const {
   return nullptr;
 }
 
-const Process::DispatchPlan& Process::plan_for(const std::string& symbol) {
+Process::DispatchPlan& Process::plan_for(const std::string& symbol) {
   const auto it = plans_.find(symbol);
   if (it != plans_.end()) return it->second;
   DispatchPlan plan;
@@ -149,33 +150,62 @@ simlib::SimValue Process::run_plan(const DispatchPlan& plan, std::size_t layer,
 }
 
 simlib::SimValue Process::call(const std::string& symbol, std::vector<simlib::SimValue> args) {
-  // The load barrier (demand loading only): a resolvable symbol with no GOT
-  // slot is either faulted in (profile member) or trapped as a surface
-  // violation. Unresolvable symbols fall through to the normal
-  // unresolved-symbol crash below.
-  if (demand_loading_ && !machine_.has_got_slot(symbol) && resolve(symbol) != nullptr) {
-    if (profile_.contains(symbol)) {
-      fault_in_symbol(symbol);
-    } else {
-      ++calls_dispatched_;
-      if (observer_ != nullptr) observer_->on_call(symbol, args, machine_);
-      trap_surface_violation(symbol, std::move(args));
-    }
-  }
   // The GOT hop: validates that the slot still points at real code. An
   // attacker-rewritten slot raises ControlFlowHijack here — *before* any
-  // wrapper or library code runs, like a hijacked PLT jump. Symbols with no
-  // slot (nothing loaded defines them) fall through to dispatch, which
-  // reports the unresolved-symbol crash.
-  const std::string target =
-      machine_.has_got_slot(symbol) ? machine_.call_through_got(symbol) : symbol;
+  // wrapper or library code runs, like a hijacked PLT jump. A plan that
+  // knows its slot turns a call through the intact slot into one lookup,
+  // the slot's load and its step; any other call resolves what it loaded.
+  const DispatchPlan* plan = nullptr;
+  mem::Addr slot = 0;
+  mem::Addr code = 0;
+  const auto cached = plans_.find(symbol);
+  if (cached != plans_.end() && cached->second.slot != 0) {
+    slot = cached->second.slot;
+    code = machine_.load_got(slot);
+    if (code == cached->second.code) plan = &cached->second;
+  } else {
+    slot = machine_.find_got_slot(symbol);
+    // The load barrier (demand loading only): a resolvable symbol with no
+    // GOT slot is either faulted in (profile member) or trapped as a
+    // surface violation.
+    if (slot == 0 && demand_loading_ && resolve(symbol) != nullptr) {
+      if (!profile_.contains(symbol)) {
+        ++calls_dispatched_;
+        if (observer_ != nullptr) observer_->on_call(symbol, args, machine_);
+        trap_surface_violation(symbol, std::move(args));
+      }
+      slot = fault_in_symbol(symbol);
+    }
+    // A symbol with no slot (nothing loaded defines it) runs its own plan,
+    // whose missing base reports the unresolved-symbol crash.
+    if (slot == 0) {
+      plan = &plan_for(symbol);
+    } else {
+      code = machine_.load_got(slot);
+    }
+  }
+  // Without a plan yet, name the code the slot held and take its plan.
+  std::string callee;
+  const std::string* target = &symbol;
+  if (plan == nullptr) {
+    callee = machine_.callee_at(symbol, code);
+    DispatchPlan& resolved = plan_for(callee);
+    if (callee == symbol) {
+      resolved.slot = slot;
+      resolved.code = code;
+    }
+    plan = &resolved;
+    target = &callee;
+  }
+  // Dispatch stays in this frame: a crash in the library unwinds every frame
+  // up to the supervising catch, and a campaign reaps hundreds of crashes.
   ++calls_dispatched_;
   // Flight-recorder feed: host-side bookkeeping only, so the branch is the
   // entire fast-path cost when no recorder is attached (and the recorder
   // never touches steps/cycles when one is — golden-tick enforced).
-  if (observer_ != nullptr) observer_->on_call(target, args, machine_);
+  if (observer_ != nullptr) observer_->on_call(*target, args, machine_);
   simlib::CallContext ctx{machine_, state_, std::move(args)};
-  return run_plan(plan_for(target), 0, target, ctx);
+  return run_plan(*plan, 0, *target, ctx);
 }
 
 CallOutcome Process::supervised_call(const std::string& symbol,

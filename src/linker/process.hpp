@@ -181,7 +181,9 @@ class Process {
   // function. Built lazily on first call and cached, so the hot path walks
   // a flat array instead of querying every layer's wraps() per call.
   // Invalidated whenever the load set changes (load_library / preload /
-  // restore).
+  // restore). A plan also remembers the symbol's GOT slot and the code
+  // address the slot held when a call through it first reached the plan
+  // (0 until then), so a call through an intact slot needs no other lookup.
   struct DispatchStep {
     Interposition* wrapper = nullptr;
     const void* handle = nullptr;
@@ -189,12 +191,15 @@ class Process {
   struct DispatchPlan {
     std::vector<DispatchStep> steps;
     const simlib::Symbol* base = nullptr;
+    mem::Addr slot = 0;
+    mem::Addr code = 0;
   };
-  const DispatchPlan& plan_for(const std::string& symbol);
+  DispatchPlan& plan_for(const std::string& symbol);
   simlib::SimValue run_plan(const DispatchPlan& plan, std::size_t layer,
                             const std::string& symbol, simlib::CallContext& ctx);
   // Demand loading: defines the GOT slot and maps the symbol's text page.
-  void fault_in_symbol(const std::string& symbol);
+  // Returns the slot.
+  mem::Addr fault_in_symbol(const std::string& symbol);
   // Demand loading: raises the surface-violation detector and aborts.
   [[noreturn]] void trap_surface_violation(const std::string& symbol,
                                            std::vector<simlib::SimValue> args);

@@ -93,15 +93,21 @@ Addr Machine::got_slot(const std::string& name) const {
   return it->second;
 }
 
-std::string Machine::call_through_got(const std::string& name) {
-  const Addr slot = got_slot(name);
-  const Addr target = space_.load64(slot);
+Addr Machine::find_got_slot(const std::string& name) const noexcept {
+  const auto it = got_slots_.find(name);
+  return it != got_slots_.end() ? it->second : 0;
+}
+
+Addr Machine::load_got(Addr slot) {
+  const Addr code = space_.load64(slot);
   tick();
-  if (auto callee = resolve_code(target)) {
-    return *callee;
-  }
+  return code;
+}
+
+std::string Machine::callee_at(const std::string& name, Addr code) const {
+  if (auto callee = resolve_code(code)) return *std::move(callee);
   throw ControlFlowHijack("indirect call through GOT slot '" + name + "' jumped to 0x" +
-                          std::to_string(target) + " (not program code)");
+                          std::to_string(code) + " (not program code)");
 }
 
 Machine::Snapshot Machine::snapshot() {

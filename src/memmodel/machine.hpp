@@ -90,14 +90,23 @@ class Machine {
   // ordinary writable data — exactly why GOT overwrites work.
   Addr define_got_slot(const std::string& name);
   [[nodiscard]] Addr got_slot(const std::string& name) const;
+  // The slot address for `name`, or 0 when it has none (no slot sits at 0).
+  [[nodiscard]] Addr find_got_slot(const std::string& name) const noexcept;
   [[nodiscard]] bool has_got_slot(const std::string& name) const noexcept {
-    return got_slots_.contains(name);
+    return find_got_slot(name) != 0;
   }
 
-  // Performs an indirect call through the named slot: loads the stored code
-  // address and resolves it. Returns the callee name, or raises
-  // ControlFlowHijack when the slot was overwritten with a non-code value.
-  std::string call_through_got(const std::string& name);
+  // An indirect call through a GOT slot, in two halves. load_got reads the
+  // code address stored at `slot` and charges the call's one step;
+  // callee_at names the registered code at the loaded `code`, or raises
+  // ControlFlowHijack (naming the slot of `name`) when the slot was
+  // overwritten with a non-code value.
+  Addr load_got(Addr slot);
+  [[nodiscard]] std::string callee_at(const std::string& name, Addr code) const;
+  // Both halves through the named slot; returns the callee name.
+  std::string call_through_got(const std::string& name) {
+    return callee_at(name, load_got(got_slot(name)));
+  }
 
   // --- snapshot / restore --------------------------------------------------
   // Captures the whole machine: address-space contents (as a refcounted COW

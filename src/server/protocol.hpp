@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -118,7 +119,7 @@ struct Layout<server::DeriveRequest> {
     v.u32(r.endpoint, server::Endpoint::kBundle);
     v.str(r.soname);
     v.u64(r.seed);
-    v.u32(r.variants);
+    v.u32(r.variants, std::numeric_limits<int>::max());
     v.u64(r.probe_step_budget);
     v.u64(r.testbed_heap);
     v.u64(r.testbed_stack);

@@ -37,6 +37,7 @@
 // counted, not fatal — old readers keep serving what they understand.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,7 +82,7 @@ void cache_key_fields(V& v, E& e) {
   v.str(e.soname);
   v.u64(e.fingerprint);
   v.u64(e.seed);
-  v.u32(e.variants);
+  v.u32(e.variants, std::numeric_limits<int>::max());
   v.u64(e.probe_step_budget);
   v.u64(e.testbed_heap);
   v.u64(e.testbed_stack);

@@ -45,6 +45,19 @@ inline void replay_load(mem::Machine& m, Addr addr) {
   (void)m.mem().load8(addr);
 }
 
+// Offset of the first NUL or `stop` byte in p[0, n), or n when neither is
+// there. The NUL is found first and `stop` is searched for only before it,
+// so a short string at the start of a large region costs its own length,
+// not the region's. A NUL `stop` finds the terminator.
+inline std::uint64_t find_nul_or(const std::byte* p, std::uint64_t n, std::uint8_t stop) {
+  const void* nul = std::memchr(p, 0, n);
+  const std::uint64_t end =
+      nul != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(nul) - p) : n;
+  const void* hit = std::memchr(p, stop, end);
+  return hit != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(hit) - p)
+                        : end;
+}
+
 // strlen core: length of the NUL-terminated string at `s`, ticking once per
 // scanned byte including the terminator.
 inline std::uint64_t scan_len(mem::Machine& m, Addr s) {
@@ -290,30 +303,33 @@ inline std::int64_t compare(mem::Machine& m, Addr a, Addr b, std::uint64_t cap,
     }
     const std::byte* pa = as.span(a + i, c, Perm::kRead);
     const std::byte* pb = as.span(b + i, c, Perm::kRead);
-    // First position where the walk ends inside this chunk, if any.
-    std::uint64_t diff_at = c;
+    // Positions this chunk examines: through a's terminator when the walk
+    // stops there (b either matches it or differs at or before it), so
+    // equal strings cost their length, not the region's.
+    const void* nul = stop_at_nul ? std::memchr(pa, 0, c) : nullptr;
+    const std::uint64_t n =
+        nul != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(nul) - pa) + 1
+                       : c;
+    // First position where the walk ends with a difference, if any.
+    std::uint64_t diff_at = n;
     if (fold_case) {
-      for (std::uint64_t k = 0; k < c; ++k) {
+      for (std::uint64_t k = 0; k < n; ++k) {
         if (lower(std::to_integer<std::uint8_t>(pa[k])) !=
             lower(std::to_integer<std::uint8_t>(pb[k]))) {
           diff_at = k;
           break;
         }
       }
-    } else if (std::memcmp(pa, pb, c) != 0) {
-      diff_at = static_cast<std::uint64_t>(std::mismatch(pa, pa + c, pb).first - pa);
+    } else if (std::memcmp(pa, pb, n) != 0) {
+      diff_at = static_cast<std::uint64_t>(std::mismatch(pa, pa + n, pb).first - pa);
     }
-    if (stop_at_nul) {
-      // A shared NUL strictly before the first difference ends the walk
-      // with equality (the reference checks the difference first).
-      const void* nul = std::memchr(pa, 0, static_cast<std::size_t>(std::min(diff_at, c)));
-      if (nul != nullptr) {
-        const auto k = static_cast<std::uint64_t>(static_cast<const std::byte*>(nul) - pa);
-        settle(m, m.budget_units(k + 1), k + 1);
-        return 0;
-      }
+    if (diff_at == n && nul != nullptr) {
+      // A shared NUL ends the walk with equality (the reference checks the
+      // difference first, so a NUL in a alone is a difference above).
+      settle(m, m.budget_units(n), n);
+      return 0;
     }
-    if (diff_at < c) {
+    if (diff_at < n) {
       settle(m, m.budget_units(diff_at + 1), diff_at + 1);
       const std::uint8_t ca = fold_case ? lower(std::to_integer<std::uint8_t>(pa[diff_at]))
                                         : std::to_integer<std::uint8_t>(pa[diff_at]);

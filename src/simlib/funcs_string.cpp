@@ -92,21 +92,13 @@ SimValue fn_strchr(CallContext& ctx) {
       continue;
     }
     const std::byte* p = as.span(s + i, extent, mem::Perm::kRead);
-    const void* ht = std::memchr(p, target, extent);
-    const void* h0 = std::memchr(p, 0, extent);
-    const auto off = [p](const void* hit, std::uint64_t none) {
-      return hit != nullptr
-                 ? static_cast<std::uint64_t>(static_cast<const std::byte*>(hit) - p)
-                 : none;
-    };
-    const std::uint64_t kt = off(ht, extent);
-    const std::uint64_t k0 = off(h0, extent);
-    const std::uint64_t k = std::min(kt, k0);
+    const std::uint64_t k = bulk::find_nul_or(p, extent, target);
     if (k < extent) {
-      bulk::settle(ctx.machine, ctx.machine.budget_units(k + 1), k + 1);
       // The reference checks the target before the terminator, so a NUL
       // target matches the terminator itself.
-      return kt <= k0 ? SimValue::ptr(s + i + k) : SimValue::null();
+      const bool found = std::to_integer<std::uint8_t>(p[k]) == target;
+      bulk::settle(ctx.machine, ctx.machine.budget_units(k + 1), k + 1);
+      return found ? SimValue::ptr(s + i + k) : SimValue::null();
     }
     bulk::settle(ctx.machine, ctx.machine.budget_units(extent), extent);
     i += extent;

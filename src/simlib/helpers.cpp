@@ -75,21 +75,13 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
         continue;
       }
       const std::byte* sp = as.span(p, extent, mem::Perm::kRead);
-      const void* h0 = std::memchr(sp, 0, extent);
-      const void* hp = std::memchr(sp, '%', extent);
-      const std::uint64_t k0 =
-          h0 != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(h0) - sp)
-                        : extent;
-      const std::uint64_t kp =
-          hp != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(hp) - sp)
-                        : extent;
-      const std::uint64_t k = std::min(k0, kp);
+      const std::uint64_t k = bulk::find_nul_or(sp, extent, '%');
       const std::uint64_t want = k < extent ? k + 1 : extent;
       out.append(reinterpret_cast<const char*>(sp), k);
       bulk::settle(ctx.machine, ctx.machine.budget_units(want), want);
       if (k < extent) {
-        done = k0 <= kp;  // terminator wins a tie (it can't: distinct bytes)
-        p += k;           // leave p on the '%' for the parse below
+        done = sp[k] == std::byte{0};
+        p += k;  // leave p on the '%' for the parse below
         break;
       }
       p += extent;

@@ -8,10 +8,10 @@
 // failures (crashes, hangs, aborts)" (paper §2.1).
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "gen/microgen.hpp"
 #include "gen/stats.hpp"
+#include "simlib/bulk.hpp"
 #include "simlib/cerrno.hpp"
 #include "simlib/libstate.hpp"
 #include "simlib/observer.hpp"
@@ -138,15 +138,7 @@ std::optional<std::uint64_t> safe_formatted_length(CallContext& ctx, int fmt_ind
       const std::uint64_t extent = space.span_extent(p, mem::Perm::kRead);
       if (extent == 0) return std::nullopt;
       const std::byte* sp = space.span(p, extent, mem::Perm::kRead);
-      const void* h0 = std::memchr(sp, 0, extent);
-      const void* hp = std::memchr(sp, '%', extent);
-      const std::uint64_t k0 =
-          h0 != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(h0) - sp)
-                        : extent;
-      const std::uint64_t kp =
-          hp != nullptr ? static_cast<std::uint64_t>(static_cast<const std::byte*>(hp) - sp)
-                        : extent;
-      const std::uint64_t k = std::min(k0, kp);
+      const std::uint64_t k = simlib::bulk::find_nul_or(sp, extent, '%');
       length += k;
       p += k;
       if (k < extent) {

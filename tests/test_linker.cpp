@@ -181,6 +181,78 @@ TEST(Process, GotHopFlagsOverwrittenSlot) {
   EXPECT_EQ(outcome.kind, CallOutcome::Kind::kHijack);
 }
 
+// What one call through strlen's slot, rewritten to `value`, observed: its
+// outcome and the steps and dispatches it added. With `cache_first` the
+// process calls strlen once beforehand, so its dispatch plan is cached when
+// the slot is rewritten.
+struct RewrittenCall {
+  CallOutcome::Kind kind;
+  std::string result;
+  std::uint64_t steps;
+  std::uint64_t dispatched;
+  bool operator==(const RewrittenCall&) const = default;
+};
+
+RewrittenCall call_rewritten_strlen(bool cache_first, mem::Addr value) {
+  auto proc = testbed::make_process();
+  const mem::Addr s = proc->alloc_cstring("42");
+  if (cache_first) {
+    EXPECT_EQ(proc->call("strlen", {P(s)}).as_int(), 2);
+  }
+  mem::Machine& machine = proc->machine();
+  machine.mem().store64(machine.got_slot("strlen"), value);
+  const std::uint64_t steps = machine.steps();
+  const std::uint64_t dispatched = proc->calls_dispatched();
+  const CallOutcome outcome = proc->supervised_call("strlen", {P(s)});
+  return {outcome.kind, outcome.kind == CallOutcome::Kind::kHijack ? outcome.detail
+                                                                   : outcome.ret.to_string(),
+          machine.steps() - steps, proc->calls_dispatched() - dispatched};
+}
+
+// atoi's code address, the same in every process testbed::make_process builds.
+mem::Addr atoi_code() {
+  auto proc = testbed::make_process();
+  return proc->machine().mem().load64(proc->machine().got_slot("atoi"));
+}
+
+TEST(Process, GotHopFlagsSlotOverwrittenAfterItsPlanWasCached) {
+  const RewrittenCall cached = call_rewritten_strlen(/*cache_first=*/true, 0x1234);
+  EXPECT_EQ(cached.kind, CallOutcome::Kind::kHijack);
+  EXPECT_NE(cached.result.find("GOT slot 'strlen'"), std::string::npos) << cached.result;
+  EXPECT_EQ(cached.steps, 1u);  // the slot's load, and nothing after it
+  EXPECT_EQ(cached.dispatched, 0u);
+  EXPECT_EQ(cached, call_rewritten_strlen(/*cache_first=*/false, 0x1234));
+}
+
+TEST(Process, GotSlotRewrittenToOtherCodeDispatchesThere) {
+  // A redirect to real code is followed, whether or not strlen's plan was
+  // cached: the call lands in atoi.
+  const RewrittenCall cached = call_rewritten_strlen(/*cache_first=*/true, atoi_code());
+  EXPECT_EQ(cached.kind, CallOutcome::Kind::kReturned);
+  EXPECT_EQ(cached.result, "42");
+  EXPECT_EQ(cached.dispatched, 1u);
+  EXPECT_EQ(cached, call_rewritten_strlen(/*cache_first=*/false, atoi_code()));
+}
+
+TEST(Process, CallsDispatchedCountsOnlyCallsThatReachCode) {
+  auto proc = testbed::make_process();
+  mem::Machine& machine = proc->machine();
+  const mem::Addr s = proc->alloc_cstring("42");
+  const mem::Addr slot = machine.got_slot("strlen");
+  const mem::Addr code = machine.mem().load64(slot);
+  proc->call("strlen", {P(s)});  // builds the plan
+  proc->call("strlen", {P(s)});  // through the cached plan
+  EXPECT_EQ(proc->calls_dispatched(), 2u);
+  machine.mem().store64(slot, 0x1234);
+  EXPECT_EQ(proc->supervised_call("strlen", {P(s)}).kind, CallOutcome::Kind::kHijack);
+  EXPECT_EQ(proc->calls_dispatched(), 2u);
+  machine.mem().store64(slot, atoi_code());
+  EXPECT_EQ(proc->call("strlen", {P(s)}).as_int(), 42);
+  machine.mem().store64(slot, code);
+  EXPECT_EQ(proc->call("strlen", {P(s)}).as_int(), 2);
+  EXPECT_EQ(proc->calls_dispatched(), 4u);
+}
+
 TEST(Process, OutcomeToStringIsReadable) {
   CallOutcome outcome;
   outcome.kind = CallOutcome::Kind::kExit;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -265,7 +266,9 @@ TEST(ServerProtocol, ResponseRoundTripsAndDecoderIsStrict) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().status, ResponseStatus::kOk);
     EXPECT_EQ(decoded.value().probes, 777u);
-    if (format == WireFormat::kBinary) EXPECT_EQ(decoded.value().payload, response.payload);
+    if (format == WireFormat::kBinary) {
+      EXPECT_EQ(decoded.value().payload, response.payload);
+    }
   }
 
   EXPECT_FALSE(DeriveRequest::decode("HRQ1").ok());
@@ -444,6 +447,43 @@ TEST_F(ServerFixture, MalformedRequestNumbersAnswerWithErrorEnvelopes) {
         << response.value().error;
   }
   EXPECT_EQ(server.stats().answered_error, tickets.size());
+  EXPECT_EQ(toolkit.probes_executed(), 0u) << "no campaign may run for an undecodable request";
+}
+
+// The binary twin of the variants bound: an HRQ1 variants word that would
+// read as a negative int is a decode error, answered with the error
+// envelope, while INT_MAX decodes and survives the XML round trip.
+TEST_F(ServerFixture, BinaryRequestVariantsMustFitTheIntField) {
+  DeriveRequest request = quick_request("libsimm.so.1", WireFormat::kBinary);
+  request.variants = std::numeric_limits<int>::max();
+  const std::string widest = request.encode();
+  const std::string word("\xff\xff\xff\x7f", 4);
+  const std::size_t at = widest.find(word);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(widest.find(word, at + 1), std::string::npos);
+  const auto decoded = DeriveRequest::decode(widest);
+  ASSERT_TRUE(decoded.ok());
+  const auto again = DeriveRequest::from_xml(decoded.value().to_xml());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().variants, std::numeric_limits<int>::max());
+
+  DeriveServer server(toolkit);
+  std::vector<DeriveServer::Ticket> tickets;
+  for (const std::string_view negative : {std::string_view("\x00\x00\x00\x80", 4),
+                                          std::string_view("\xff\xff\xff\xff", 4)}) {
+    std::string bad = widest;
+    bad.replace(at, word.size(), negative);
+    EXPECT_FALSE(DeriveRequest::decode(bad).ok());
+    tickets.push_back(server.submit(bad));
+  }
+  server.drain();
+  for (const auto ticket : tickets) {
+    const auto bytes = server.response(ticket);
+    ASSERT_NE(bytes, nullptr);
+    const auto response = DeriveResponse::decode(*bytes);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.value().status, ResponseStatus::kError);
+  }
   EXPECT_EQ(toolkit.probes_executed(), 0u) << "no campaign may run for an undecodable request";
 }
 

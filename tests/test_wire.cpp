@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -619,6 +620,23 @@ TEST(WireStrict, CampaignSkippedAndCheckWordsRejectUnknownBits) {
   for (const std::string& bad : {skipped_bit, check_bit}) {
     EXPECT_FALSE(fleet::record::decode<injector::CampaignResult>(bad).ok()) << hex(bad);
   }
+}
+
+TEST(WireStrict, VariantsWordMustFitItsIntField) {
+  // variants is an int: a word of 0x80000000 or more would read as a negative
+  // count, which the XML twin of the same request refuses.
+  for (const std::string_view word : {"00000080", "ffffffff"}) {
+    const std::string request = with(kRequest, "0700000000000000 01000000",
+                                     "0700000000000000 " + std::string(word));
+    EXPECT_FALSE(server::DeriveRequest::decode(request).ok()) << hex(request);
+    const std::string entry = with(kCampaignEntry, "645e0a806f167d7d 1500000000000000 01000000",
+                                   "645e0a806f167d7d 1500000000000000 " + std::string(word));
+    EXPECT_FALSE(fleet::record::decode<core::CachedCampaign>(entry).ok()) << hex(entry);
+  }
+  const auto widest = server::DeriveRequest::decode(
+      with(kRequest, "0700000000000000 01000000", "0700000000000000 ffffff7f"));
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().variants, std::numeric_limits<int>::max());
 }
 
 TEST(WireStrict, DeriveRequestCarriesNoBundleKind) {

@@ -31,7 +31,9 @@ help_text="$("$healers" help)"
 # docs/cli.md heads each form's section with the same synopsis. A form is the
 # synopsis's leading lowercase words ("fleet ingest"); its flags are every
 # --long flag plus -o, and a flag only some values take carries them as
-# "[--seed N (--type testing)]". The two sides must agree in both directions.
+# "[--seed N (--type testing)]", or without brackets when those values
+# require it ("--campaign file (--type robustness|repair)"). The two sides
+# must agree in both directions.
 manifest() {
   while IFS= read -r synopsis; do
     [ -n "$synopsis" ] || continue
@@ -39,8 +41,9 @@ manifest() {
       awk '{ f = $1; for (i = 2; i <= NF && $i ~ /^[a-z][a-z-]*$/; i++) f = f " " $i; print f }')"
     synopsis_flags="$(printf '%s\n' "$synopsis" | grep -oE -- '--[a-z][a-z-]*|\[-o ' |
       sed 's/^\[//; s/ $//' | sort -u | tr '\n' ' ')"
-    scoped_flags="$(printf '%s\n' "$synopsis" | grep -oE -- '\[--[a-z-]+[^][]* \([^)]*\)\]' |
-      sed 's/^\[\(--[a-z-]*\).* (\(.*\))\]$/\1(\2)/' | sort | tr '\n' ' ')"
+    scoped_flags="$(printf '%s\n' "$synopsis" |
+      grep -oE -- '\[?--[a-z-]+( [^] ()[]+)? \([^)]*\)\]?' |
+      sed 's/^\(\[\{0,1\}--[a-z-]*\)[^(]* (/\1(/' | sort | tr '\n' ' ')"
     printf '%s:%s%s\n' "$form" "$synopsis_flags" "$scoped_flags"
   done
 }

@@ -88,8 +88,9 @@ Arg count(std::string_view name, T& field) {
           }};
 }
 
-Arg text(std::string_view name, std::string& field) {
-  return {Arg::Kind::kText, name, [&field](std::string_view v) { field = v; return true; }};
+Arg text(std::string_view name, std::string& field, bool required = false) {
+  return {Arg::Kind::kText, name, [&field](std::string_view v) { field = v; return true; },
+          {}, required};
 }
 
 // A switch stores `value` (--no-prune stores false into a prune field).
@@ -112,7 +113,8 @@ Arg choice(std::string_view name, T& field, std::vector<std::pair<std::string_vi
 }
 
 // Restricts a flag to the given values of the argument named `with` (an
-// operand or a choice); any other value makes the flag a usage error.
+// operand or a choice); any other value makes the flag a usage error. A
+// required flag so restricted is required for exactly those values.
 Arg only(Arg flag, std::string_view with, std::vector<std::string_view> values) {
   flag.only_with = with;
   flag.only_values = std::move(values);
@@ -170,11 +172,15 @@ Status parse_args(const Syntax& syntax, std::span<char* const> args) {
     }
   }
   for (const Arg& a : syntax) {
-    if (a.required && !value_of(a.name)) return Error("missing " + std::string(a.name));
-    if (a.only_with.empty() || !value_of(a.name)) continue;
-    const std::string* with = value_of(a.only_with);
-    if (with == nullptr || std::ranges::count(a.only_values, *with) == 0) {
+    const std::string* with = a.only_with.empty() ? nullptr : value_of(a.only_with);
+    const bool applies = a.only_with.empty() ||
+                         (with != nullptr && std::ranges::count(a.only_values, *with) != 0);
+    if (value_of(a.name) && !applies) {
       return Error(std::string(a.name) + " applies only to " + scope(a));
+    }
+    if (a.required && applies && !value_of(a.name)) {
+      const std::string in_scope = a.only_with.empty() ? "" : " (" + scope(a) + ")";
+      return Error("missing " + std::string(a.name) + in_scope);
     }
   }
   return Status::success();
@@ -481,7 +487,8 @@ struct GenSource {
     return {operand("<soname>", soname),
             choice("--type", type, {"profiling", "robustness", "security", "testing", "repair"},
                    /*required=*/true),
-            only(text("--campaign", campaign_path), "--type", {"robustness", "repair"}),
+            only(text("--campaign", campaign_path, /*required=*/true), "--type",
+                 {"robustness", "repair"}),
             only(count("--seed", seed), "--type", {"testing"}), text("-o", out)};
   }
 
@@ -490,9 +497,6 @@ struct GenSource {
     gen::WrapperBuilder builder(std::string(type) + "-wrapper");
     std::optional<injector::CampaignResult> campaign;
     if (type == "robustness" || type == "repair") {
-      if (campaign_path.empty()) {
-        return fail("gen-source --type " + std::string(type) + " requires --campaign <file>");
-      }
       auto loaded = load_campaign(campaign_path);
       if (!loaded.ok()) return fail(loaded.error().message);
       campaign = std::move(loaded).take();
