@@ -126,7 +126,7 @@ int stack_victim_main(Process& p, std::string& log) {
   const mem::Stack::PopResult popped = m.stack().pop();
   if (popped.corrupted()) {
     // The simulated `ret`: control transfers to the attacker's value.
-    throw ControlFlowHijack("return to 0x" + std::to_string(popped.stored_ret) +
+    throw ControlFlowHijack("return to 0x" + to_hex(popped.stored_ret) +
                             " (attacker-controlled)");
   }
   out << "victim: returned normally";

@@ -32,9 +32,34 @@ FleetCollector::FleetCollector(CollectorConfig config) : config_(config) {
     ingest_.push_back(std::make_unique<IngestShard>());
     agg_.push_back(std::make_unique<AggShard>());
   }
+  drained_.resize(config_.shards);
 }
 
-bool FleetCollector::submit(std::string payload) {
+void FleetCollector::Arena::push(std::string_view payload) {
+  bytes.append(payload);
+  ends.push_back(bytes.size());
+}
+
+void FleetCollector::Arena::drop_oldest() {
+  ++head;
+  // Once as many payloads are evicted as are still queued, move the queued
+  // ones to the front: the buffer never holds twice the queue, and each
+  // eviction pays for about one payload's move.
+  if (head < size()) return;
+  const std::size_t cut = ends[head - 1];
+  bytes.erase(0, cut);
+  ends.erase(ends.begin(), ends.begin() + static_cast<std::ptrdiff_t>(head));
+  for (std::size_t& end : ends) end -= cut;
+  head = 0;
+}
+
+void FleetCollector::Arena::clear() noexcept {
+  bytes.clear();
+  ends.clear();
+  head = 0;
+}
+
+bool FleetCollector::submit(std::string_view payload) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t shard =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % ingest_.size();
@@ -43,9 +68,9 @@ bool FleetCollector::submit(std::string payload) {
   if (target.queue.size() >= config_.queue_capacity) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     if (config_.policy == OverflowPolicy::kDropNewest) return false;
-    target.queue.pop_front();  // kDropOldest: shed the head, admit the tail
+    target.queue.drop_oldest();  // kDropOldest: shed the head, admit the tail
   }
-  target.queue.push_back(std::move(payload));
+  target.queue.push(payload);
   return true;
 }
 
@@ -110,13 +135,19 @@ void FleetCollector::flush() {
   // submitted == aggregated + malformed + dropped + pending holds at every
   // quiescent point for every shard/worker/policy combination (test_sim's
   // drop-accounting matrix and test_fleet's flush-race test assert this).
-  std::vector<std::string> claimed;
-  for (auto& shard : ingest_) {
-    std::lock_guard lock(shard->mutex);
-    claimed.reserve(claimed.size() + shard->queue.size());
-    while (!shard->queue.empty()) {
-      claimed.push_back(std::move(shard->queue.front()));
-      shard->queue.pop_front();
+  // Claiming swaps the shard's buffer with an emptied spare, so the lock
+  // covers only the swap.
+  std::vector<std::string_view> claimed;
+  for (std::size_t s = 0; s < ingest_.size(); ++s) {
+    Arena& drained = drained_[s];
+    drained.clear();  // the previous flush's payloads; the storage stays
+    {
+      std::lock_guard lock(ingest_[s]->mutex);
+      std::swap(ingest_[s]->queue, drained);
+    }
+    claimed.reserve(claimed.size() + drained.size());
+    for (std::size_t i = drained.head; i < drained.ends.size(); ++i) {
+      claimed.push_back(drained.payload(i));
     }
   }
   if (claimed.empty()) return;
@@ -136,26 +167,38 @@ void FleetCollector::flush() {
         std::lock_guard lock(error_mutex_);
         if (first_error_.empty()) first_error_ = message;
       };
-      const auto ingest = [this, &reject](const auto& decoded) {
+      const auto ingest = [this, &reject](const Status& decoded, const auto& document) {
         if (decoded.ok()) {
-          fold(decoded.value());
+          fold(document);
         } else {
           reject(decoded.error().message);
         }
       };
+      const auto ingest_parsed = [this, &reject](const auto& parsed) {
+        if (parsed.ok()) {
+          fold(parsed.value());
+        } else {
+          reject(parsed.error().message);
+        }
+      };
+      // One record per binary kind, reused across the batch: decode_into
+      // keeps their strings' and lists' storage.
+      profile::ProfileReport report;
+      incident::Dossier dossier;
+      debloat::SurfaceProfile surface;
       for (std::size_t i = begin; i < end; ++i) {
-        const std::string& payload = claimed[i];
+        const std::string_view payload = claimed[i];
         // Dossiers, surface profiles and profiles share the pipe; binary
         // documents dispatch on their magic, XML on the root element.
         switch (record::sniff(payload)) {
           case record::Kind::kProfile:
-            ingest(record::decode<profile::ProfileReport>(payload));
+            ingest(record::decode_into(payload, report), report);
             continue;
           case record::Kind::kDossier:
-            ingest(record::decode<incident::Dossier>(payload));
+            ingest(record::decode_into(payload, dossier), dossier);
             continue;
           case record::Kind::kSurface:
-            ingest(record::decode<debloat::SurfaceProfile>(payload));
+            ingest(record::decode_into(payload, surface), surface);
             continue;
           default:
             break;
@@ -164,11 +207,11 @@ void FleetCollector::flush() {
         if (!parsed.ok()) {
           reject("xml document: " + parsed.error().message);
         } else if (parsed.value().name() == "dossier") {
-          ingest(incident::from_xml(parsed.value()));
+          ingest_parsed(incident::from_xml(parsed.value()));
         } else if (parsed.value().name() == "surface-profile") {
-          ingest(debloat::surface_from_xml(parsed.value()));
+          ingest_parsed(debloat::surface_from_xml(parsed.value()));
         } else {
-          ingest(profile::from_xml(parsed.value()));
+          ingest_parsed(profile::from_xml(parsed.value()));
         }
       }
     });
@@ -184,6 +227,15 @@ std::uint64_t FleetCollector::pending() const {
   for (const auto& shard : ingest_) {
     std::lock_guard lock(shard->mutex);
     n += shard->queue.size();
+  }
+  return n;
+}
+
+std::size_t FleetCollector::queued_bytes() const {
+  std::size_t n = 0;
+  for (const auto& shard : ingest_) {
+    std::lock_guard lock(shard->mutex);
+    n += shard->queue.bytes.size();
   }
   return n;
 }

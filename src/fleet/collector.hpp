@@ -2,10 +2,18 @@
 // single-process collector server is one configuration of it — one shard and
 // one flush worker, whose pool runs inline ({.shards = 1, .workers = 1}):
 //
-//   producers --submit()--> per-shard bounded MPSC queues   (backpressure)
-//                 flush():  batched decode on support::ThreadPool
+//   producers --submit()--> per-shard bounded arena queues  (backpressure)
+//                           payload bytes appended to one buffer per shard
+//                 flush():  swap each shard's buffer out, then batched decode
+//                           on support::ThreadPool, each batch into one
+//                           reused record per kind (record::decode_into)
 //                           fold into aggregation shards    (by symbol hash)
 //   snapshot(): merge shards -> totals + quantile sketch -> summary
+//
+// Ingest allocates nothing per document once the buffers have grown: a
+// shard's queue is one byte buffer plus end offsets, flush() hands the decode
+// tasks views into the buffer it swapped out and keeps that buffer as the
+// shard's next spare, and binary documents decode into reused records.
 //
 // Invariants:
 //   * No silent loss. Every submitted payload is exactly one of: aggregated,
@@ -19,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -97,10 +104,10 @@ class FleetCollector {
  public:
   explicit FleetCollector(CollectorConfig config = {});
 
-  // Enqueues one encoded document (XML or binary; not decoded here).
-  // Thread-safe. Returns false when the overflow policy shed a payload
+  // Enqueues a copy of one encoded document (XML or binary; not decoded
+  // here). Thread-safe. Returns false when the overflow policy shed a payload
   // (the shed document is counted in dropped() either way).
-  bool submit(std::string payload);
+  bool submit(std::string_view payload);
 
   // Decodes and aggregates everything queued, in batches on a thread pool
   // of config.workers workers. Not thread-safe against itself; submit()
@@ -112,6 +119,9 @@ class FleetCollector {
   [[nodiscard]] std::uint64_t malformed() const noexcept { return malformed_.load(); }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_.load(); }
   [[nodiscard]] std::uint64_t pending() const;
+  // Bytes the ingest queues hold, including payloads kDropOldest evicted
+  // that a compaction has not yet removed (at most as many as are queued).
+  [[nodiscard]] std::size_t queued_bytes() const;
   [[nodiscard]] unsigned shards() const noexcept { return static_cast<unsigned>(ingest_.size()); }
   // First decode error seen since construction ("" when none) — the
   // diagnostic handle for the malformed() counter.
@@ -121,9 +131,26 @@ class FleetCollector {
   [[nodiscard]] std::string render_summary() const { return snapshot().render(); }
 
  private:
+  // One shard's queued payloads: their bytes back to back, and where each
+  // one ends. Payloads before `head` were evicted by kDropOldest.
+  struct Arena {
+    std::string bytes;
+    std::vector<std::size_t> ends;
+    std::size_t head = 0;
+
+    [[nodiscard]] std::size_t size() const noexcept { return ends.size() - head; }
+    [[nodiscard]] std::string_view payload(std::size_t i) const noexcept {
+      const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+      return std::string_view(bytes).substr(begin, ends[i] - begin);
+    }
+    void push(std::string_view payload);
+    void drop_oldest();
+    // Empties the arena and keeps its storage.
+    void clear() noexcept;
+  };
   struct IngestShard {
     std::mutex mutex;
-    std::deque<std::string> queue;
+    Arena queue;
   };
   struct AggShard {
     mutable std::mutex mutex;
@@ -140,6 +167,9 @@ class FleetCollector {
 
   CollectorConfig config_;
   std::vector<std::unique_ptr<IngestShard>> ingest_;
+  // flush()'s side of each shard's buffer swap: the payloads the last flush
+  // decoded, emptied before the next swap, which hands on its storage.
+  std::vector<Arena> drained_;
   std::vector<std::unique_ptr<AggShard>> agg_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> aggregated_{0};

@@ -13,8 +13,9 @@
 //     }
 //   };
 //
-// encode() runs the list with a Writer (R = const T), decode() with a strict
-// Reader (R = T). Field vocabulary, all integers little-endian fixed width:
+// encode() runs the list with a Writer (R = const T), decode_into() with a
+// strict Reader (R = T). Field vocabulary, all integers little-endian fixed
+// width:
 //
 //   u32(x) / u64(x)     an integer or enum in 4 / 8 bytes; i64 is its
 //                       two's-complement image
@@ -24,6 +25,8 @@
 //   flags(b...)         a u32 bit word, first argument in bit 0; a
 //                       std::optional argument contributes its presence
 //   constant(k)         a u32 that must equal k
+//   absent(x)           a u32 0 in place of a field this record does not
+//                       carry; x reads back as its zero value
 //   list(xs)            u32 count + elements (std::string or records)
 //   map(m)              u32 count + (u32 key, u64 value), keys ascending
 //   nested(x)           a whole record (magic included) inside a str
@@ -33,10 +36,17 @@
 // came from. An unknown magic, truncation, trailing bytes, an enum past its
 // last value, unknown flag bits, an integer wider than its field, keys out of
 // order and a wrong constant are errors, never a partial or normalised
-// value. Counts are checked against the bytes left before anything is
-// reserved, so no payload makes the decoder allocate more than its own size
-// can describe. (xml() is the one field that is only as strict as the XML
+// value. Counts are checked against the bytes left before anything grows,
+// so no payload makes the decoder allocate more than its own size can
+// describe. (xml() is the one field that is only as strict as the XML
 // parser.)
+//
+// decode_into() writes into a caller's value and reuses its storage: strings
+// and list elements keep their capacity and maps their nodes, so a hot loop
+// that decodes into one value per kind stops allocating once the value has
+// grown. Every field a layout lists is overwritten, so a value reused across
+// decodes ends equal to a fresh decode(); members a layout does not list
+// (in-memory state such as CampaignResult::engine) are left as they are.
 #pragma once
 
 #include <array>
@@ -198,7 +208,7 @@ struct Layout;
 template <class T>
 [[nodiscard]] std::string encode(const T& value);
 template <class T>
-[[nodiscard]] Result<T> decode(std::string_view payload);
+[[nodiscard]] Status decode_into(std::string_view payload, T& value);
 
 class Writer {
  public:
@@ -212,6 +222,8 @@ class Writer {
   void u64(I value) { codec::put_u64(out_, static_cast<std::uint64_t>(value)); }
   void str(std::string_view s) { codec::put_str(out_, s); }
   void constant(std::uint32_t value) { u32(value); }
+  template <class X>
+  void absent(const X& /*field*/) { constant(0); }
 
   template <class... Bits>
   void flags(const Bits&... bits) {
@@ -306,6 +318,11 @@ class Reader {
   void constant(std::uint32_t value) {
     if (cursor_.u32() != value && cursor_.ok()) fail("unexpected constant");
   }
+  template <class X>
+  void absent(X& field) {
+    constant(0);
+    field = X{};
+  }
 
   template <class... Bits>
   void flags(Bits&... bits) {
@@ -315,17 +332,20 @@ class Reader {
     ((set(bits, (word & bit) != 0), bit <<= 1), ...);
   }
 
+  // Resizing keeps the elements a reused value already holds, and their
+  // storage; the count is checked before the list grows.
   template <class T>
   void list(std::vector<T>& items) {
     const std::uint32_t n = count(min_bytes<T>());
-    items.clear();
-    items.reserve(n);
-    for (std::uint32_t i = 0; i < n && ok(); ++i) element(items.emplace_back());
+    items.resize(n);
+    for (std::uint32_t i = 0; i < n && ok(); ++i) element(items[i]);
   }
 
+  // Refills the nodes a reused map already holds before allocating more.
   void map(std::map<int, std::uint64_t>& entries) {
     const std::uint32_t n = count(12);
-    entries.clear();
+    std::map<int, std::uint64_t> spare;
+    spare.swap(entries);
     for (std::uint32_t i = 0; i < n && ok(); ++i) {
       int key = 0;
       std::uint64_t value = 0;
@@ -333,16 +353,24 @@ class Reader {
       u64(value);
       if (!ok()) return;
       if (i > 0 && key <= entries.rbegin()->first) return fail("map keys out of order");
-      entries.emplace_hint(entries.end(), key, value);
+      if (spare.empty()) {
+        entries.emplace_hint(entries.end(), key, value);
+        continue;
+      }
+      auto node = spare.extract(spare.begin());
+      node.key() = key;
+      node.mapped() = value;
+      entries.insert(entries.end(), std::move(node));
     }
   }
 
   template <class T>
   void nested(T& value) {
-    auto decoded = decode<T>(cursor_.str());
+    const std::string_view payload = cursor_.str();
     if (!cursor_.ok()) return;
-    if (!decoded.ok()) return fail(decoded.error().message);
-    value = std::move(decoded).take();
+    if (Status decoded = decode_into(payload, value); !decoded.ok()) {
+      fail(decoded.error().message);
+    }
   }
 
   template <class T>
@@ -395,16 +423,24 @@ class Reader {
   std::string error_;
 };
 
-// Strict decoder: the payload must be exactly one T record.
+// The strict decoder: the payload must be exactly one T record, decoded into
+// `value` in place. On an error `value` holds a partial record; decode it
+// again before reading it.
 template <class T>
-Result<T> decode(std::string_view payload) {
+Status decode_into(std::string_view payload, T& value) {
   const Magic& m = magic(Layout<T>::kKind);
   if (!payload.starts_with(m.bytes)) return Error(std::string(m.name) + ": bad magic");
   Reader reader(payload.substr(m.bytes.size()));
-  T value{};
   Layout<T>::fields(reader, value);
   if (!reader.ok()) return Error(std::string(m.name) + ": " + reader.error());
   if (!reader.at_end()) return Error(std::string(m.name) + ": trailing bytes");
+  return {};
+}
+
+template <class T>
+[[nodiscard]] Result<T> decode(std::string_view payload) {
+  T value{};
+  if (Status decoded = decode_into(payload, value); !decoded.ok()) return decoded.error();
   return value;
 }
 

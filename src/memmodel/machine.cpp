@@ -107,7 +107,7 @@ Addr Machine::load_got(Addr slot) {
 std::string Machine::callee_at(const std::string& name, Addr code) const {
   if (auto callee = resolve_code(code)) return *std::move(callee);
   throw ControlFlowHijack("indirect call through GOT slot '" + name + "' jumped to 0x" +
-                          std::to_string(code) + " (not program code)");
+                          to_hex(code) + " (not program code)");
 }
 
 Machine::Snapshot Machine::snapshot() {

@@ -126,7 +126,7 @@ struct Layout<server::DeriveRequest> {
     if (r.endpoint == server::Endpoint::kBundle) {
       v.u32(r.bundle, server::BundleKind::kRepair);
     } else {
-      v.constant(0);  // derive requests carry no bundle kind
+      v.absent(r.bundle);  // derive requests carry no bundle kind
     }
     v.u32(r.format, server::WireFormat::kBinary);
   }

@@ -321,15 +321,15 @@ SimStats FleetSim::run() {
       switch (emission->kind) {
         case EmissionKind::kProfile:
           ++stats.profile_docs;
-          collector_->submit(std::move(emission->payload));
+          collector_->submit(emission->payload);
           break;
         case EmissionKind::kDossier:
           ++stats.dossier_docs;
-          collector_->submit(std::move(emission->payload));
+          collector_->submit(emission->payload);
           break;
         case EmissionKind::kSurface:
           ++stats.surface_docs;
-          collector_->submit(std::move(emission->payload));
+          collector_->submit(emission->payload);
           break;
         case EmissionKind::kDerive:
           ++stats.derive_requests;

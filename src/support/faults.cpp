@@ -20,7 +20,7 @@ std::string to_string(FaultKind kind) {
   return "UNKNOWN";
 }
 
-std::string AccessFault::to_hex(std::uint64_t value) {
+std::string to_hex(std::uint64_t value) {
   static constexpr std::array<char, 16> kDigits = {'0', '1', '2', '3', '4', '5', '6', '7',
                                                    '8', '9', 'a', 'b', 'c', 'd', 'e', 'f'};
   if (value == 0) return "0";

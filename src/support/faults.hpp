@@ -25,6 +25,9 @@ enum class FaultKind : std::uint8_t {
 
 [[nodiscard]] std::string to_string(FaultKind kind);
 
+// Lower-case hex digits of value, without a prefix ("0" for 0).
+[[nodiscard]] std::string to_hex(std::uint64_t value);
+
 // Raised by the memory model / simulated machine at the faulting access.
 class AccessFault : public std::runtime_error {
  public:
@@ -39,8 +42,6 @@ class AccessFault : public std::runtime_error {
   [[nodiscard]] const std::string& detail() const noexcept { return detail_; }
 
  private:
-  static std::string to_hex(std::uint64_t value);
-
   FaultKind kind_;
   std::uint64_t address_;
   std::string detail_;

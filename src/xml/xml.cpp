@@ -1,10 +1,14 @@
 #include "xml/xml.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <sstream>
 
 namespace healers::xml {
+
+// Elements carry a handful of attributes and children: the first insert
+// reserves room for several, so building a node rarely regrows its vectors.
+constexpr std::size_t kFirstSlots = 4;
 
 Node& Node::set_attr(std::string key, std::string value) {
   for (auto& [k, v] : attrs_) {
@@ -13,6 +17,7 @@ Node& Node::set_attr(std::string key, std::string value) {
       return *this;
     }
   }
+  if (attrs_.empty()) attrs_.reserve(kFirstSlots);
   attrs_.emplace_back(std::move(key), std::move(value));
   return *this;
 }
@@ -24,12 +29,10 @@ const std::string* Node::attr(std::string_view key) const noexcept {
   return nullptr;
 }
 
-Node& Node::add_child(std::string name) {
-  children_.push_back(std::make_unique<Node>(std::move(name)));
-  return *children_.back();
-}
+Node& Node::add_child(std::string name) { return add_child(Node(std::move(name))); }
 
 Node& Node::add_child(Node node) {
+  if (children_.empty()) children_.reserve(kFirstSlots);
   children_.push_back(std::make_unique<Node>(std::move(node)));
   return *children_.back();
 }
@@ -101,45 +104,55 @@ Result<std::uint64_t> Node::attr_hex(std::string_view key) const {
   return value;
 }
 
+void escape_into(std::string_view raw, std::string& out) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    std::string_view entity;
+    switch (raw[i]) {
+      case '&':
+        entity = "&amp;";
+        break;
+      case '<':
+        entity = "&lt;";
+        break;
+      case '>':
+        entity = "&gt;";
+        break;
+      case '"':
+        entity = "&quot;";
+        break;
+      case '\'':
+        entity = "&apos;";
+        break;
+      default:
+        continue;
+    }
+    out.append(raw.substr(run, i - run));
+    out.append(entity);
+    run = i + 1;
+  }
+  out.append(raw.substr(run));
+}
+
 std::string escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (const char ch : raw) {
-    switch (ch) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\'':
-        out += "&apos;";
-        break;
-      default:
-        out += ch;
-    }
-  }
+  escape_into(raw, out);
   return out;
 }
 
 namespace {
 
 void serialize_into(const Node& node, int indent, std::string& out) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  out += pad;
+  const std::size_t pad = static_cast<std::size_t>(indent) * 2;
+  out.append(pad, ' ');
   out += '<';
   out += node.name();
   for (const auto& [k, v] : node.attrs()) {
     out += ' ';
     out += k;
     out += "=\"";
-    out += escape(v);
+    escape_into(v, out);
     out += '"';
   }
   const bool empty = node.children().empty() && node.text().empty();
@@ -150,7 +163,7 @@ void serialize_into(const Node& node, int indent, std::string& out) {
   out += '>';
   if (node.children().empty()) {
     // Pure text element stays on one line: <name>text</name>
-    out += escape(node.text());
+    escape_into(node.text(), out);
     out += "</";
     out += node.name();
     out += ">\n";
@@ -158,19 +171,42 @@ void serialize_into(const Node& node, int indent, std::string& out) {
   }
   out += '\n';
   if (!node.text().empty()) {
-    out += std::string(static_cast<std::size_t>(indent + 1) * 2, ' ');
-    out += escape(node.text());
+    out.append(pad + 2, ' ');
+    escape_into(node.text(), out);
     out += '\n';
   }
   for (const auto& child : node.children()) {
     serialize_into(*child, indent + 1, out);
   }
-  out += pad;
+  out.append(pad, ' ');
   out += "</";
   out += node.name();
   out += ">\n";
 }
 
+// Byte classes as the C locale's std::isalnum and std::isspace give them, so
+// a byte >= 0x80 is neither a name character nor whitespace.
+struct ByteClasses {
+  std::array<bool, 256> name{};
+  std::array<bool, 256> space{};
+
+  constexpr ByteClasses() {
+    for (int c = '0'; c <= '9'; ++c) name[c] = true;
+    for (int c = 'a'; c <= 'z'; ++c) name[c] = true;
+    for (int c = 'A'; c <= 'Z'; ++c) name[c] = true;
+    for (const char c : {'_', '-', '.', ':'}) name[static_cast<unsigned char>(c)] = true;
+    for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+      space[static_cast<unsigned char>(c)] = true;
+    }
+  }
+};
+constexpr ByteClasses kBytes;
+
+bool is_space(char ch) noexcept { return kBytes.space[static_cast<unsigned char>(ch)]; }
+bool is_name_char(char ch) noexcept { return kBytes.name[static_cast<unsigned char>(ch)]; }
+
+// Scans names, attribute values and character data in runs: a value or text
+// grows by one append per run between entities, tags and quotes.
 class Parser {
  public:
   explicit Parser(std::string_view doc) : doc_(doc) {}
@@ -206,7 +242,7 @@ class Parser {
   }
 
   void skip_ws() {
-    while (!eof() && (std::isspace(static_cast<unsigned char>(peek())) != 0)) ++pos_;
+    while (!eof() && is_space(doc_[pos_])) ++pos_;
   }
 
   bool skip_comment() {
@@ -232,31 +268,42 @@ class Parser {
     skip_ws_and_comments();
   }
 
-  static bool is_name_char(char ch) noexcept {
-    return (std::isalnum(static_cast<unsigned char>(ch)) != 0) || ch == '_' || ch == '-' ||
-           ch == '.' || ch == ':';
+  // The run of name characters at pos_ (empty when there is none).
+  std::string_view scan_name() {
+    const std::size_t start = pos_;
+    while (!eof() && is_name_char(doc_[pos_])) ++pos_;
+    return doc_.substr(start, pos_ - start);
   }
 
-  std::string parse_name() {
-    std::string name;
-    while (!eof() && is_name_char(peek())) name += take();
-    return name;
+  // Appends the bytes before the next of `stops` (or the end) to out, and
+  // moves past them.
+  void append_run(std::string_view stops, std::string& out) {
+    const std::size_t stop = std::min(doc_.find_first_of(stops, pos_), doc_.size());
+    out.append(doc_.substr(pos_, stop - pos_));
+    pos_ = stop;
   }
 
-  Result<std::string> parse_entity() {
-    // pos_ is at '&'
-    const std::size_t semi = doc_.find(';', pos_);
-    if (semi == std::string_view::npos || semi - pos_ > 6) {
-      return Error(where() + ": unterminated entity");
+  // Appends the character of the entity at pos_ ('&') to out.
+  Status append_entity(std::string& out) {
+    // An entity's ';' is at most six bytes past its '&'.
+    const std::size_t semi = doc_.substr(pos_, 7).find(';');
+    if (semi == std::string_view::npos) return Error(where() + ": unterminated entity");
+    const std::string_view entity = doc_.substr(pos_ + 1, semi - 1);
+    pos_ += semi + 1;
+    if (entity == "amp") {
+      out += '&';
+    } else if (entity == "lt") {
+      out += '<';
+    } else if (entity == "gt") {
+      out += '>';
+    } else if (entity == "quot") {
+      out += '"';
+    } else if (entity == "apos") {
+      out += '\'';
+    } else {
+      return Error(where() + ": unknown entity &" + std::string(entity) + ";");
     }
-    const std::string_view entity = doc_.substr(pos_ + 1, semi - pos_ - 1);
-    pos_ = semi + 1;
-    if (entity == "amp") return std::string("&");
-    if (entity == "lt") return std::string("<");
-    if (entity == "gt") return std::string(">");
-    if (entity == "quot") return std::string("\"");
-    if (entity == "apos") return std::string("'");
-    return Error(where() + ": unknown entity &" + std::string(entity) + ";");
+    return {};
   }
 
   Result<std::string> parse_attr_value() {
@@ -264,18 +311,15 @@ class Parser {
     if (quote != '"' && quote != '\'') {
       return Error(where() + ": expected quoted attribute value");
     }
+    const char stops[] = {quote, '&'};
     std::string value;
-    while (!eof() && peek() != quote) {
-      if (peek() == '&') {
-        auto ent = parse_entity();
-        if (!ent.ok()) return ent;
-        value += ent.value();
-      } else {
-        value += take();
-      }
+    for (;;) {
+      append_run(std::string_view(stops, 2), value);
+      if (eof()) return Error(where() + ": unterminated attribute value");
+      if (doc_[pos_] == quote) break;
+      if (Status entity = append_entity(value); !entity.ok()) return entity.error();
     }
-    if (eof()) return Error(where() + ": unterminated attribute value");
-    take();  // closing quote
+    ++pos_;  // closing quote
     return value;
   }
 
@@ -283,9 +327,9 @@ class Parser {
     skip_ws_and_comments();
     if (peek() != '<') return Error(where() + ": expected '<'");
     take();
-    const std::string name = parse_name();
+    const std::string_view name = scan_name();
     if (name.empty()) return Error(where() + ": expected element name");
-    Node node(name);
+    Node node{std::string(name)};
 
     for (;;) {
       skip_ws();
@@ -298,55 +342,50 @@ class Parser {
         take();
         break;
       }
-      const std::string key = parse_name();
+      const std::string_view key = scan_name();
       if (key.empty()) return Error(where() + ": expected attribute name");
       skip_ws();
       if (take() != '=') return Error(where() + ": expected '=' after attribute name");
       skip_ws();
       auto value = parse_attr_value();
       if (!value.ok()) return value.error();
-      node.set_attr(key, value.value());
+      node.set_attr(std::string(key), std::move(value).take());
     }
 
-    // Content: interleaved text and child elements until the close tag.
+    // Content: interleaved text and child elements until the close tag. The
+    // text is trimmed, so no whitespace is kept before its first other byte
+    // (whitespace-only content never allocates) and trailing whitespace is
+    // dropped at the close tag.
     std::string text;
     for (;;) {
-      if (eof()) return Error(where() + ": unterminated element <" + name + ">");
-      if (peek() == '<') {
-        if (doc_.compare(pos_, 4, "<!--") == 0) {
-          skip_comment();
-          continue;
-        }
-        if (doc_.compare(pos_, 2, "</") == 0) {
-          pos_ += 2;
-          const std::string close = parse_name();
-          if (close != name) {
-            return Error(where() + ": mismatched close tag </" + close + "> for <" + name + ">");
-          }
-          skip_ws();
-          if (take() != '>') return Error(where() + ": expected '>' in close tag");
-          node.set_text(trim(text));
-          return node;
-        }
-        auto child = parse_element();
-        if (!child.ok()) return child;
-        node.add_child(std::move(child).take());
-      } else if (peek() == '&') {
-        auto ent = parse_entity();
-        if (!ent.ok()) return ent.error();
-        text += ent.value();
-      } else {
-        text += take();
+      if (text.empty()) skip_ws();
+      append_run("<&", text);
+      if (eof()) return Error(where() + ": unterminated element <" + std::string(name) + ">");
+      if (doc_[pos_] == '&') {
+        if (Status entity = append_entity(text); !entity.ok()) return entity.error();
+        continue;
       }
+      if (doc_.compare(pos_, 4, "<!--") == 0) {
+        skip_comment();
+        continue;
+      }
+      if (doc_.compare(pos_, 2, "</") == 0) {
+        pos_ += 2;
+        const std::string_view close = scan_name();
+        if (close != name) {
+          return Error(where() + ": mismatched close tag </" + std::string(close) + "> for <" +
+                       std::string(name) + ">");
+        }
+        skip_ws();
+        if (take() != '>') return Error(where() + ": expected '>' in close tag");
+        while (!text.empty() && is_space(text.back())) text.pop_back();
+        node.set_text(std::move(text));
+        return node;
+      }
+      auto child = parse_element();
+      if (!child.ok()) return child;
+      node.add_child(std::move(child).take());
     }
-  }
-
-  static std::string trim(const std::string& raw) {
-    std::size_t begin = 0;
-    std::size_t end = raw.size();
-    while (begin < end && (std::isspace(static_cast<unsigned char>(raw[begin])) != 0)) ++begin;
-    while (end > begin && (std::isspace(static_cast<unsigned char>(raw[end - 1])) != 0)) --end;
-    return raw.substr(begin, end - begin);
   }
 
   std::string_view doc_;

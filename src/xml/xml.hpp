@@ -80,7 +80,9 @@ class Node {
 // Serializes without the <?xml ...?> header (for embedding).
 [[nodiscard]] std::string serialize_fragment(const Node& root, int indent = 0);
 
-// Escapes &, <, >, ", ' for use in character data / attribute values.
+// Escapes &, <, >, ", ' for use in character data / attribute values:
+// escape_into appends the escaped text to out, escape returns it.
+void escape_into(std::string_view raw, std::string& out);
 [[nodiscard]] std::string escape(std::string_view raw);
 
 // Strict parser for the HEALERS subset. Rejects mismatched tags, unterminated

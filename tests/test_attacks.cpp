@@ -19,7 +19,10 @@ TEST_F(AttackFixture, HeapSmashSucceedsUnprotected) {
   const AttackResult result = run_heap_smash_attack(toolkit.catalog(), {});
   EXPECT_TRUE(result.hijack_succeeded);
   EXPECT_EQ(result.outcome.kind, linker::CallOutcome::Kind::kHijack);
-  EXPECT_NE(result.outcome.detail.find("puts"), std::string::npos);
+  // puts' GOT slot now holds the attacker's message buffer, printed in hex.
+  EXPECT_NE(result.narrative.find("message buffer at 0x65030"), std::string::npos);
+  EXPECT_EQ(result.outcome.detail,
+            "indirect call through GOT slot 'puts' jumped to 0x65030 (not program code)");
   EXPECT_NE(result.narrative.find("unlink"), std::string::npos);
 }
 
@@ -35,7 +38,8 @@ TEST_F(AttackFixture, HeapSmashBlockedBySecurityWrapper) {
 TEST_F(AttackFixture, StackSmashSucceedsUnprotected) {
   const AttackResult result = run_stack_smash_attack(toolkit.catalog(), {});
   EXPECT_TRUE(result.hijack_succeeded);
-  EXPECT_NE(result.outcome.detail.find("attacker-controlled"), std::string::npos);
+  // The overwritten return address, 0x00424242424242, printed in hex.
+  EXPECT_EQ(result.outcome.detail, "return to 0x42424242424242 (attacker-controlled)");
 }
 
 TEST_F(AttackFixture, StackSmashBlockedBySecurityWrapper) {

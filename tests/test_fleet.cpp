@@ -2,7 +2,10 @@
 // sharded collector (determinism + loss accounting), and simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -283,6 +286,69 @@ TEST(FleetCollectorTest, DropOldestEvictsHeadAndCounts) {
   EXPECT_EQ(collector.aggregated(), 2u);
   EXPECT_EQ(collector.submitted(),
             collector.aggregated() + collector.malformed() + collector.dropped());
+}
+
+// A one-function profile whose symbol names the document.
+std::string numbered_doc(int i) {
+  profile::ProfileReport report;
+  report.process = "host";
+  report.wrapper = "w";
+  profile::FunctionProfile fn;
+  fn.symbol = "f" + std::to_string(i);
+  fn.calls = 1;
+  fn.cycles = 10;
+  report.functions = {fn};
+  return encode_binary(report);
+}
+
+TEST(FleetCollectorTest, DropOldestKeepsTheLastCapacityDocumentsInBoundedBytes) {
+  for (const unsigned shards : {1u, 3u}) {
+    CollectorConfig config;
+    config.shards = shards;
+    config.queue_capacity = 4;
+    config.policy = OverflowPolicy::kDropOldest;
+    FleetCollector collector(config);
+    const std::size_t queued = config.queue_capacity * shards;
+    const int submits = static_cast<int>(10 * queued);
+    std::size_t largest = 0;
+    for (int i = 0; i < submits; ++i) {
+      const std::string doc = numbered_doc(i);
+      largest = std::max(largest, doc.size());
+      EXPECT_TRUE(collector.submit(doc));
+      // Evicted payloads wait for a compaction, but never outnumber the queue.
+      EXPECT_LE(collector.queued_bytes(), 2 * queued * largest) << "after " << i + 1;
+    }
+    EXPECT_EQ(collector.pending(), queued);
+    EXPECT_EQ(collector.dropped(), submits - queued);
+    collector.flush();
+    // Round-robin placement: each shard kept its own newest documents, which
+    // together are the newest `queued` of all.
+    EXPECT_EQ(collector.aggregated(), queued);
+    const FleetSnapshot snap = collector.snapshot();
+    std::set<std::string> symbols;
+    for (const auto& [symbol, _] : snap.functions) symbols.insert(symbol);
+    std::set<std::string> newest;
+    for (int i = submits - static_cast<int>(queued); i < submits; ++i) {
+      newest.insert("f" + std::to_string(i));
+    }
+    EXPECT_EQ(symbols, newest) << "shards=" << shards;
+    EXPECT_EQ(collector.queued_bytes(), 0u);
+  }
+}
+
+TEST(FleetCollectorTest, EverySubmitFormEnqueuesTheSameBytes) {
+  const std::string doc = canonical(sample_report());
+  FleetCollector forms({.shards = 1});
+  forms.submit(doc.c_str());
+  forms.submit(std::string(doc));
+  forms.submit(std::string_view(doc));
+  EXPECT_EQ(forms.queued_bytes(), 3 * doc.size());
+  FleetCollector reference({.shards = 1});
+  for (int i = 0; i < 3; ++i) reference.submit(doc);
+  forms.flush();
+  reference.flush();
+  EXPECT_EQ(forms.aggregated(), 3u);
+  EXPECT_EQ(forms.render_summary(), reference.render_summary());
 }
 
 TEST(FleetCollectorTest, MalformedDocumentsAreCountedNotAggregated) {

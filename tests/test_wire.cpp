@@ -668,30 +668,6 @@ std::optional<std::string> round_trip(std::string_view payload) {
   return fleet::record::encode(value.value());
 }
 
-struct FuzzTarget {
-  const char* magic;
-  const std::string& golden;
-  std::optional<std::string> (*round_trip)(std::string_view);
-  // Whether a decoded value must re-encode to the very bytes it came from.
-  // HSRP1 nests XML, which the parser normalises, so there only a value's
-  // encoding must decode back to itself.
-  bool exact = true;
-};
-
-const FuzzTarget kFuzzTargets[] = {
-    {"HFB1", kProfile, round_trip<profile::ProfileReport>},
-    {"HDB1", kDossier, round_trip<incident::Dossier>},
-    {"HSP1", kSurface, round_trip<debloat::SurfaceProfile>},
-    {"HFDS1", kStream, round_trip<std::vector<std::string>>},
-    {"HCB1", kCampaign, round_trip<injector::CampaignResult>},
-    {"HRQ1", kRequest, round_trip<server::DeriveRequest>},
-    {"HRS1", kResponse, round_trip<server::DeriveResponse>},
-    {"HSCE1", kCampaignEntry, round_trip<core::CachedCampaign>},
-    {"HSIP1", kProfileEntry, round_trip<lattice::SignatureProfile>},
-    {"HSRP1", kRepairEntry, round_trip<core::CachedRepairPolicy>, false},
-    {"HSSP1", kSurfaceEntry, round_trip<core::SurfaceScope>},
-};
-
 // One random mutation: a bit flip, a byte set, a truncation, an insertion,
 // or an inflated count or length (a u32 that fits the payload, raised).
 std::string mutate(std::string bytes, Rng& rng) {
@@ -727,6 +703,124 @@ std::string mutate(std::string bytes, Rng& rng) {
   return bytes;
 }
 
+// Each record grown past its golden value: longer strings, more list
+// elements, set options and the other branch of a conditional field.
+void grow(profile::ProfileReport& r) {
+  r.process += "-and-more";
+  r.functions.push_back(r.functions.front());
+  r.functions.back().symbol = "memmove";
+  r.functions.front().errno_counts[34] = 5;
+  r.global_errnos[34] = 5;
+}
+void grow(incident::Dossier& d) {
+  d.detail += " and more";
+  d.args.push_back("0x2020");
+  d.trace.push_back(d.trace.front());
+  d.heap.push_back(d.heap.front());
+  d.regions.push_back(d.regions.front());
+  d.repairs.push_back(d.repairs.front());
+  d.heap_note = "chunk chain truncated";
+}
+void grow(debloat::SurfaceProfile& p) {
+  p.executable += "-x";
+  p.reachable_symbols.push_back("zlib");
+  p.trapped_symbols.push_back("srand");
+}
+void grow(std::vector<std::string>& documents) {
+  documents.front() += "-and-more";
+  documents.push_back(std::string(64, 'x'));
+}
+void grow(injector::CampaignResult& c) {
+  // exit's argument, which holds a range, goes first: the golden first spec
+  // (frexp) has none and a longer verdict list.
+  c.specs.insert(c.specs.begin(), c.specs.back());
+  c.specs.front().args.front().verdicts.push_back({});
+}
+void grow(server::DeriveRequest& r) {
+  r.endpoint = server::Endpoint::kBundle;
+  r.bundle = server::BundleKind::kRepair;
+  r.soname += ".larger";
+}
+void grow(server::DeriveResponse& r) {
+  r.error += " and more";
+  r.payload = std::string(64, 'p');
+}
+void grow(core::CachedCampaign& e) {
+  e.soname += ".larger";
+  grow(e.result);
+}
+void grow(lattice::SignatureProfile& p) {
+  p.signature += " *";
+  p.passes.fill(9);
+}
+void grow(core::CachedRepairPolicy& e) { e.soname += ".larger"; }
+void grow(core::SurfaceScope& s) {
+  s.executable += "-x";
+  s.symbols.push_back("sin");
+}
+
+struct FuzzTarget {
+  const char* magic;
+  const std::string& golden;
+  std::optional<std::string> (*round_trip)(std::string_view);
+  // decode_into checks on one reused value (check_reuse below).
+  void (*check_reuse)(const FuzzTarget&, Rng&);
+  // Whether a decoded value must re-encode to the very bytes it came from.
+  // HSRP1 nests XML, which the parser normalises, so there only a value's
+  // encoding must decode back to itself.
+  bool exact = true;
+};
+
+constexpr int kMutationsPerRecord = 4000;
+
+// decode_into a value that held something else gives what a fresh decode
+// gives: after a larger record of the same kind, after each failed decode,
+// and for every mutant, which it must reject exactly when decode does.
+template <class T>
+void check_reuse(const FuzzTarget& target, Rng& rng) {
+  namespace record = fleet::record;
+  T value = record::decode<T>(target.golden).take();
+  grow(value);
+  const std::string larger = record::encode(value);
+  ASSERT_TRUE(record::decode_into(larger, value).ok()) << target.magic;
+  ASSERT_TRUE(record::decode_into(target.golden, value).ok()) << target.magic;
+  EXPECT_EQ(hex(record::encode(value)), hex(target.golden)) << target.magic << " after larger";
+  for (int i = 0; i < kMutationsPerRecord; ++i) {
+    const std::string mutant = mutate(target.golden, rng);
+    const auto fresh = record::decode<T>(mutant);
+    const Status reused = record::decode_into(mutant, value);
+    ASSERT_EQ(reused.ok(), fresh.ok()) << target.magic << " " << hex(mutant);
+    if (reused.ok()) {
+      EXPECT_EQ(record::encode(value), record::encode(fresh.value())) << target.magic;
+      continue;
+    }
+    EXPECT_EQ(reused.error().message, fresh.error().message) << target.magic;
+    ASSERT_TRUE(record::decode_into(target.golden, value).ok()) << target.magic;
+    EXPECT_EQ(hex(record::encode(value)), hex(target.golden))
+        << target.magic << " after a failed decode of " << hex(mutant);
+  }
+}
+
+const FuzzTarget kFuzzTargets[] = {
+    {"HFB1", kProfile, round_trip<profile::ProfileReport>, check_reuse<profile::ProfileReport>},
+    {"HDB1", kDossier, round_trip<incident::Dossier>, check_reuse<incident::Dossier>},
+    {"HSP1", kSurface, round_trip<debloat::SurfaceProfile>,
+     check_reuse<debloat::SurfaceProfile>},
+    {"HFDS1", kStream, round_trip<std::vector<std::string>>,
+     check_reuse<std::vector<std::string>>},
+    {"HCB1", kCampaign, round_trip<injector::CampaignResult>,
+     check_reuse<injector::CampaignResult>},
+    {"HRQ1", kRequest, round_trip<server::DeriveRequest>, check_reuse<server::DeriveRequest>},
+    {"HRS1", kResponse, round_trip<server::DeriveResponse>, check_reuse<server::DeriveResponse>},
+    {"HSCE1", kCampaignEntry, round_trip<core::CachedCampaign>,
+     check_reuse<core::CachedCampaign>},
+    {"HSIP1", kProfileEntry, round_trip<lattice::SignatureProfile>,
+     check_reuse<lattice::SignatureProfile>},
+    {"HSRP1", kRepairEntry, round_trip<core::CachedRepairPolicy>,
+     check_reuse<core::CachedRepairPolicy>, false},
+    {"HSSP1", kSurfaceEntry, round_trip<core::SurfaceScope>, check_reuse<core::SurfaceScope>},
+};
+
 TEST(WireFuzz, GoldenRecordsRoundTripExactly) {
   for (const FuzzTarget& target : kFuzzTargets) {
     EXPECT_EQ(target.round_trip(target.golden), target.golden) << target.magic;
@@ -745,7 +839,6 @@ TEST(WireFuzz, EveryProperPrefixIsRejected) {
 // Every mutant decodes to an error or to a value that re-encodes to exactly
 // the mutant — never a crash, never a partial or normalised value.
 TEST(WireFuzz, MutantsAreErrorsOrExactRoundTrips) {
-  constexpr int kMutationsPerRecord = 4000;
   std::uint64_t seed = 2003;
   for (const FuzzTarget& target : kFuzzTargets) {
     Rng rng(seed++);
@@ -763,6 +856,25 @@ TEST(WireFuzz, MutantsAreErrorsOrExactRoundTrips) {
     }
     EXPECT_GT(decoded, 0) << target.magic << ": no mutant decoded; the fuzz is too coarse";
   }
+}
+
+TEST(WireFuzz, DecodeIntoAReusedValueEqualsAFreshDecode) {
+  std::uint64_t seed = 2003;
+  for (const FuzzTarget& target : kFuzzTargets) {
+    Rng rng(seed++);
+    target.check_reuse(target, rng);
+  }
+}
+
+// A derive request carries no bundle kind, so decoding one into a value that
+// held a bundle request resets the kind to the default a fresh decode gives.
+TEST(WireFuzz, DecodeIntoResetsTheBundleKindOfADeriveRequest) {
+  server::DeriveRequest request = golden_request();
+  request.endpoint = server::Endpoint::kBundle;
+  request.bundle = server::BundleKind::kRepair;
+  ASSERT_TRUE(fleet::record::decode_into(kRequest, request).ok());
+  EXPECT_EQ(request.endpoint, server::Endpoint::kDerive);
+  EXPECT_EQ(request.bundle, server::BundleKind::kRobustness);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // serialization shape, strict parsing, and serialize/parse round trips.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "xml/xml.hpp"
 
 namespace healers::xml {
@@ -51,6 +54,15 @@ TEST(XmlNode, ChildLookupByName) {
 TEST(XmlEscape, EscapesAllFiveEntities) {
   EXPECT_EQ(escape("a&b<c>d\"e'f"), "a&amp;b&lt;c&gt;d&quot;e&apos;f");
   EXPECT_EQ(escape("plain"), "plain");
+  EXPECT_EQ(escape("<<"), "&lt;&lt;");
+  EXPECT_EQ(escape(""), "");
+}
+
+TEST(XmlEscape, EscapeIntoAppends) {
+  std::string out = "k=";
+  escape_into("a&b", out);
+  escape_into(">", out);
+  EXPECT_EQ(out, "k=a&amp;b&gt;");
 }
 
 TEST(XmlSerialize, EmptyElementSelfCloses) {
@@ -129,6 +141,56 @@ TEST(XmlParse, ErrorsCarryLinePosition) {
   auto result = parse("<a>\n<b>\n</c>\n</a>");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().message.find("line 3"), std::string::npos);
+}
+
+// The error a document fails to parse with, or "parsed".
+std::string parse_error(std::string_view document) {
+  auto result = parse(document);
+  return result.ok() ? std::string("parsed") : result.error().message;
+}
+
+// The parser's error texts, position included, are part of its contract:
+// decoders prefix them to their own errors and the fleet collector keeps the
+// first one.
+TEST(XmlParse, ErrorTextsArePinned) {
+  EXPECT_EQ(parse_error("<a attr=\"x"), "line 1:11: unterminated attribute value");
+  EXPECT_EQ(parse_error("<a>\n  <b k='1'>&bogus;</b>\n</a>"), "line 2:19: unknown entity &bogus;");
+  EXPECT_EQ(parse_error("<a>\n<b>\n</c>\n</a>"), "line 3:4: mismatched close tag </c> for <b>");
+  EXPECT_EQ(parse_error("<a>\n  <b/>\n  text"), "line 3:7: unterminated element <a>");
+}
+
+TEST(XmlParse, BytesAbove0x7fAreNotNameCharacters) {
+  EXPECT_EQ(parse_error("<\xc3\xa9/>"), "line 1:2: expected element name");
+  EXPECT_EQ(parse_error("<a\xc3\xa9/>"), "line 1:3: expected attribute name");
+  EXPECT_EQ(parse_error("<a b\xc3\xa9=\"1\"/>"), "line 1:6: expected '=' after attribute name");
+}
+
+TEST(XmlParse, VerticalTabAndFormFeedAreWhitespace) {
+  auto tag = parse("<a\v\fb=\"1\"\v/>");
+  ASSERT_TRUE(tag.ok()) << tag.error().message;
+  ASSERT_NE(tag.value().attr("b"), nullptr);
+  EXPECT_EQ(*tag.value().attr("b"), "1");
+  auto text = parse("<a>\v\f x \f\v</a>");
+  ASSERT_TRUE(text.ok()) << text.error().message;
+  EXPECT_EQ(text.value().text(), "x");  // trimmed like spaces
+}
+
+TEST(XmlParse, EntitiesAtRunBoundaries) {
+  // An entity opening or closing a value, entities back to back, and text
+  // split by a child element around entities.
+  auto first = parse("<a k=\"&amp;\">&lt;</a>");
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  EXPECT_EQ(*first.value().attr("k"), "&");
+  EXPECT_EQ(first.value().text(), "<");
+  auto mixed = parse("<a k=\"x&amp;&quot;\">&lt;y&gt;<b/>&amp;</a>");
+  ASSERT_TRUE(mixed.ok()) << mixed.error().message;
+  EXPECT_EQ(*mixed.value().attr("k"), "x&\"");
+  EXPECT_EQ(mixed.value().text(), "<y>&");
+  ASSERT_NE(mixed.value().child("b"), nullptr);
+  auto single = parse("<a k='&apos;'>&amp;&amp;</a>");
+  ASSERT_TRUE(single.ok()) << single.error().message;
+  EXPECT_EQ(*single.value().attr("k"), "'");
+  EXPECT_EQ(single.value().text(), "&&");
 }
 
 TEST(XmlRoundTrip, SerializedTreeParsesBackIdentically) {

@@ -636,7 +636,7 @@ struct FleetStream {
     if (!text.ok()) return fail(text.error().message);
     auto documents = fleet::unframe_stream(text.value());
     if (!documents.ok()) return fail(path + ": " + documents.error().message);
-    for (std::string& doc : documents.value()) collector.submit(std::move(doc));
+    for (const std::string& doc : documents.value()) collector.submit(doc);
     collector.flush();
     return 0;
   }

@@ -21,8 +21,10 @@ is better than the parent's by more than the parent's interquartile range,
 and its share of failed ops is no larger than the parent's; "unresolved"
 when that range is wider than the bound and not every change run beat every
 parent run; "held" otherwise. Above the table it prints each side's failed
-ops; below it, output checks and, where a workload reports one, whether the
-two sides' summary digests agree.
+ops; below it, output checks, whether the two sides' summary digests agree
+(where a workload reports one) and whether every exact count (the results'
+"counts": probes executed, calls dispatched, documents aggregated, ...) is
+one value over all runs of both sides, naming each count that is not.
 
 With --trace the runs are traced (run.py --trace 1) and the table compares
 each layer span's self time per op instead.
@@ -169,6 +171,34 @@ def report(workload, spec, args, sides, runs):
         same = len(digests[0]) == 1 and digests[0] == digests[1]
         print(f"  summary digest: {'equal on both sides' if same else 'DIFFERS'} "
               f"(parent {sorted(digests[0])}, change {sorted(digests[1])})")
+    print_counts(sides, runs)
+
+
+def print_counts(sides, runs):
+    """Whether each exact count is one value over every run of both sides.
+
+    The counts (probes executed, pages faulted, calls dispatched, documents
+    aggregated, ...) are exact for a seed, so two sides that did the same work
+    report the same ones; a count that differs is named with each side's
+    values.
+    """
+    values = {}
+    for side in sides:
+        for r in runs[side.name]:
+            for name, value in r.get("counts", {}).items():
+                values.setdefault(name, {s.name: set() for s in sides})[side.name].add(value)
+    if not values:
+        return
+    differ = sorted(name for name, by_side in values.items()
+                    if len(set().union(*by_side.values())) > 1
+                    or any(not seen for seen in by_side.values()))
+    if not differ:
+        print(f"  exact counts: all {len(values)} equal in every run of both sides")
+        return
+    print(f"  exact counts: {len(differ)} of {len(values)} DIFFER")
+    for name in differ:
+        sides_text = ", ".join(f"{s.name} {sorted(values[name][s.name])}" for s in sides)
+        print(f"    {name}: {sides_text}")
 
 
 def main():
