@@ -16,17 +16,16 @@ void add_symbol_list(xml::Node& root, const std::string& name,
   }
 }
 
-Result<std::vector<std::string>> read_symbol_list(const xml::Node& root,
-                                                  std::string_view name) {
+Status read_symbol_list(const xml::Node& root, std::string_view name,
+                        std::vector<std::string>& out) {
   const xml::Node* list = root.child(name);
   if (list == nullptr) return Error("surface-profile: missing <" + std::string(name) + ">");
-  std::vector<std::string> out;
   for (const xml::Node* row : list->children_named("symbol")) {
-    const std::string* symbol = row->attr("name");
-    if (symbol == nullptr) return Error("surface-profile: <symbol> without name");
-    out.push_back(*symbol);
+    xml::AttrReader symbol(*row);
+    symbol.str("name", out.emplace_back());
+    if (!symbol.ok()) return symbol.error();
   }
-  return out;
+  return Status::success();
 }
 
 int percent(double ratio) { return static_cast<int>(ratio * 100.0 + 0.5); }
@@ -97,28 +96,20 @@ Result<SurfaceProfile> surface_from_xml(const xml::Node& root) {
     return Error("surface-profile: root element is not <surface-profile>");
   }
   SurfaceProfile out;
-  if (const std::string* host = root.attr("host")) out.host = *host;
-  if (const std::string* exe = root.attr("executable")) out.executable = *exe;
-  for (const auto& [field, target] :
-       std::initializer_list<std::pair<const char*, std::uint64_t*>>{
-           {"exported", &out.exported},
-           {"reachable", &out.reachable},
-           {"touched", &out.touched},
-           {"trapped", &out.trapped},
-           {"resident_pages", &out.resident_pages},
-           {"total_pages", &out.total_pages}}) {
-    auto value = root.attr_u64(field);
-    if (!value.ok()) return value.error();
-    *target = value.value();
-  }
-  for (const auto& [name, target] :
-       std::initializer_list<std::pair<const char*, std::vector<std::string>*>>{
-           {"reachable", &out.reachable_symbols},
-           {"touched", &out.touched_symbols},
-           {"trapped", &out.trapped_symbols}}) {
-    auto list = read_symbol_list(root, name);
+  xml::AttrReader attrs(root);
+  attrs.str("host", out.host, xml::kOptional);
+  attrs.str("executable", out.executable, xml::kOptional);
+  attrs.num("exported", out.exported);
+  attrs.num("reachable", out.reachable);
+  attrs.num("touched", out.touched);
+  attrs.num("trapped", out.trapped);
+  attrs.num("resident_pages", out.resident_pages);
+  attrs.num("total_pages", out.total_pages);
+  if (!attrs.ok()) return attrs.error();
+  for (const Status& list : {read_symbol_list(root, "reachable", out.reachable_symbols),
+                             read_symbol_list(root, "touched", out.touched_symbols),
+                             read_symbol_list(root, "trapped", out.trapped_symbols)}) {
     if (!list.ok()) return list.error();
-    *target = std::move(list).take();
   }
   return out;
 }

@@ -153,19 +153,21 @@ void FleetCollector::flush() {
   if (claimed.empty()) return;
 
   // One decode task per batch; the totals are commutative, so tasks fold
-  // directly into the aggregation shards under their mutexes.
+  // directly into the aggregation shards under their mutexes. Each batch
+  // keeps the first error among its payloads, so the earliest batch's error
+  // is the earliest malformed payload in claim order, for any worker count.
   std::vector<support::ThreadPool::Task> tasks;
   const std::size_t batches =
       (claimed.size() + config_.batch_size - 1) / config_.batch_size;
+  std::vector<std::string> batch_errors(batches);
   tasks.reserve(batches);
   for (std::size_t b = 0; b < batches; ++b) {
     const std::size_t begin = b * config_.batch_size;
     const std::size_t end = std::min(claimed.size(), begin + config_.batch_size);
-    tasks.push_back([this, &claimed, begin, end](unsigned /*worker*/) {
-      const auto reject = [this](const std::string& message) {
+    tasks.push_back([this, &claimed, &error = batch_errors[b], begin, end](unsigned /*worker*/) {
+      const auto reject = [this, &error](const std::string& message) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard lock(error_mutex_);
-        if (first_error_.empty()) first_error_ = message;
+        if (error.empty()) error = message;
       };
       const auto ingest = [this, &reject](const Status& decoded, const auto& document) {
         if (decoded.ok()) {
@@ -220,6 +222,13 @@ void FleetCollector::flush() {
       config_.workers == 0 ? support::ThreadPool::hardware_workers() : config_.workers;
   support::ThreadPool pool(workers);
   pool.run(std::move(tasks));
+
+  // An earlier flush's error stays first; else the earliest batch's error.
+  std::lock_guard lock(error_mutex_);
+  for (std::string& error : batch_errors) {
+    if (!first_error_.empty()) break;
+    first_error_ = std::move(error);
+  }
 }
 
 std::uint64_t FleetCollector::pending() const {

@@ -123,8 +123,10 @@ class FleetCollector {
   // that a compaction has not yet removed (at most as many as are queued).
   [[nodiscard]] std::size_t queued_bytes() const;
   [[nodiscard]] unsigned shards() const noexcept { return static_cast<unsigned>(ingest_.size()); }
-  // First decode error seen since construction ("" when none) — the
-  // diagnostic handle for the malformed() counter.
+  // The error of the first malformed payload since construction ("" when
+  // none), the diagnostic handle for the malformed() counter. "First" is the
+  // order flush() claims payloads in: shard by shard, each shard's queue in
+  // submit order. The worker count cannot change which error it is.
   [[nodiscard]] std::string first_error() const;
 
   [[nodiscard]] FleetSnapshot snapshot() const;

@@ -1,23 +1,10 @@
 #include "gen/repair_policy.hpp"
 
-#include <array>
-
 namespace healers::gen {
 
 namespace {
 
 using simlib::RepairAction;
-
-constexpr std::array<RepairAction, 4> kAllActions = {
-    RepairAction::kTruncateWrite, RepairAction::kSubstituteBounded,
-    RepairAction::kSynthesizeInput, RepairAction::kSafeReturn};
-
-Result<RepairAction> action_from_name(const std::string& name) {
-  for (const RepairAction action : kAllActions) {
-    if (simlib::to_string(action) == name) return action;
-  }
-  return Error("repair-policy: unknown action '" + name + "'");
-}
 
 std::string size_text(const std::optional<parser::SizeExpr>& expr) {
   return expr.has_value() ? expr->to_string() : std::string();
@@ -103,32 +90,34 @@ Result<RepairPolicy> RepairPolicy::from_xml(const xml::Node& node) {
     return Error("repair-policy: root element is not <repair-policy>");
   }
   RepairPolicy out;
-  if (const std::string* library = node.attr("library")) out.library = *library;
-  out.seed = static_cast<std::uint64_t>(node.attr_int("seed", 0));
+  // rules is rule_count(): checked as a number, not kept.
+  std::size_t rules = 0;
+  xml::AttrReader attrs(node);
+  attrs.str("library", out.library, xml::kOptional);
+  attrs.num("seed", out.seed);
+  attrs.num("rules", rules, xml::kOptional);
+  if (!attrs.ok()) return attrs.error();
   for (const xml::Node* fn_node : node.children_named("function")) {
-    FunctionRepairPolicy fn;
-    if (const std::string* name = fn_node->attr("name")) fn.function = *name;
-    for (const xml::Node* row : fn_node->children_named("rule")) {
-      RepairRule rule;
-      rule.arg_index = static_cast<int>(row->attr_int("arg", 0));
-      const std::string* action = row->attr("action");
-      auto parsed = action_from_name(action == nullptr ? "" : *action);
-      if (!parsed.ok()) return parsed.error();
-      rule.action = parsed.value();
-      rule.clamp_arg = static_cast<int>(row->attr_int("clamp_arg", 0));
-      rule.src_arg = static_cast<int>(row->attr_int("src_arg", 0));
-      rule.append = row->attr_int("append", 0) != 0;
-      if (const std::string* size = row->attr("size")) {
-        auto expr = parser::SizeExpr::parse(*size);
-        if (!expr.ok()) return Error("repair-policy: bad size '" + *size + "'");
+    FunctionRepairPolicy& fn = out.functions.emplace_back();
+    xml::AttrReader(*fn_node).str("name", fn.function, xml::kOptional);
+    for (const xml::Node* rule_node : fn_node->children_named("rule")) {
+      RepairRule& rule = fn.rules.emplace_back();
+      std::string size;
+      xml::AttrReader row(*rule_node);
+      row.num("arg", rule.arg_index);
+      row.word("action", rule.action, simlib::kRepairActionNames);
+      row.num("clamp_arg", rule.clamp_arg, xml::kOptional);
+      row.num("src_arg", rule.src_arg, xml::kOptional);
+      row.flag("append", rule.append, xml::kOptional);
+      row.str("size", size, xml::kOptional);
+      row.str("provenance", rule.provenance, xml::kOptional);
+      if (!row.ok()) return row.error();
+      if (row.has("size")) {
+        auto expr = parser::SizeExpr::parse(size);
+        if (!expr.ok()) return Error("repair-policy: bad size '" + size + "'");
         rule.write_size = std::move(expr).take();
       }
-      if (const std::string* provenance = row->attr("provenance")) {
-        rule.provenance = *provenance;
-      }
-      fn.rules.push_back(std::move(rule));
     }
-    out.functions.push_back(std::move(fn));
   }
   return out;
 }

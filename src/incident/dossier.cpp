@@ -1,47 +1,6 @@
 #include "incident/dossier.hpp"
 
-#include <array>
-#include <limits>
-
 namespace healers::incident {
-
-namespace {
-
-using simlib::DetectionKind;
-using simlib::RepairAction;
-
-constexpr std::array<DetectionKind, 7> kAllKinds = {
-    DetectionKind::kArgCheck,    DetectionKind::kHeapSmash,   DetectionKind::kStackSmash,
-    DetectionKind::kAccessFault, DetectionKind::kErrorInject, DetectionKind::kRepair,
-    DetectionKind::kSurfaceViolation};
-
-constexpr std::array<RepairAction, 4> kAllActions = {
-    RepairAction::kTruncateWrite, RepairAction::kSubstituteBounded,
-    RepairAction::kSynthesizeInput, RepairAction::kSafeReturn};
-
-// The 0/1 `suspect` flag, written only when set.
-Result<std::uint64_t> suspect_flag(const xml::Node& row) {
-  if (row.attr("suspect") == nullptr) return std::uint64_t{0};
-  return row.attr_u64("suspect", 1);
-}
-
-std::string attr_or_empty(const xml::Node& node, std::string_view key) {
-  const std::string* value = node.attr(key);
-  return value == nullptr ? std::string() : *value;
-}
-
-}  // namespace
-
-std::string hex_addr(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  if (value == 0) return "0x0";
-  std::string out;
-  while (value != 0) {
-    out.insert(out.begin(), kDigits[value & 0xF]);
-    value >>= 4;
-  }
-  return "0x" + out;
-}
 
 bool operator==(const TraceEntry& a, const TraceEntry& b) {
   return a.seq == b.seq && a.tick == b.tick && a.cycles == b.cycles &&
@@ -70,20 +29,6 @@ bool Dossier::operator==(const Dossier& other) const {
          cycles == other.cycles && fault_addr == other.fault_addr && args == other.args &&
          trace == other.trace && heap == other.heap && heap_note == other.heap_note &&
          regions == other.regions && repairs == other.repairs;
-}
-
-Result<DetectionKind> detection_kind_from_name(const std::string& name) {
-  for (const DetectionKind kind : kAllKinds) {
-    if (simlib::to_string(kind) == name) return kind;
-  }
-  return Error("dossier: unknown detector '" + name + "'");
-}
-
-Result<RepairAction> repair_action_from_name(const std::string& name) {
-  for (const RepairAction action : kAllActions) {
-    if (simlib::to_string(action) == name) return action;
-  }
-  return Error("dossier: unknown repair action '" + name + "'");
 }
 
 xml::Node Dossier::to_xml() const {
@@ -157,115 +102,79 @@ xml::Node Dossier::to_xml() const {
 Result<Dossier> from_xml(const xml::Node& node) {
   if (node.name() != "dossier") return Error("dossier: root element is not <dossier>");
   Dossier out;
-  out.process = attr_or_empty(node, "process");
-  auto kind = detection_kind_from_name(attr_or_empty(node, "detector"));
-  if (!kind.ok()) return kind.error();
-  out.detector = kind.value();
-  out.symbol = attr_or_empty(node, "symbol");
   // Addresses and digests are written in hex (hex_addr), counters in decimal.
-  auto seq = node.attr_u64("seq");
-  auto tick = node.attr_u64("tick");
-  auto cycles = node.attr_u64("cycles");
-  auto fault_addr = node.attr_hex("fault_addr");
-  for (const auto* field : {&seq, &tick, &cycles, &fault_addr}) {
-    if (!field->ok()) return field->error();
-  }
-  out.seq = seq.value();
-  out.tick = tick.value();
-  out.cycles = cycles.value();
-  out.fault_addr = fault_addr.value();
+  xml::AttrReader root(node);
+  root.str("process", out.process, xml::kOptional);
+  root.word("detector", out.detector, simlib::kDetectionKindNames);
+  root.str("symbol", out.symbol, xml::kOptional);
+  root.num("seq", out.seq);
+  root.num("tick", out.tick);
+  root.num("cycles", out.cycles);
+  root.hex("fault_addr", out.fault_addr);
+  if (!root.ok()) return root.error();
   if (const xml::Node* detail = node.child("detail")) out.detail = detail->text();
 
   if (const xml::Node* call = node.child("call")) {
     for (const xml::Node* arg : call->children_named("arg")) {
-      out.args.push_back(attr_or_empty(*arg, "value"));
+      xml::AttrReader(*arg).str("value", out.args.emplace_back(), xml::kOptional);
     }
   }
 
   if (const xml::Node* trace_node = node.child("trace")) {
-    for (const xml::Node* row : trace_node->children_named("event")) {
-      TraceEntry entry;
-      entry.symbol = attr_or_empty(*row, "symbol");
-      auto seq = row->attr_u64("seq");
-      auto tick = row->attr_u64("tick");
-      auto cycles = row->attr_u64("cycles");
-      auto argc = row->attr_u64("argc", std::numeric_limits<std::uint32_t>::max());
-      auto digest = row->attr_hex("digest");
-      for (const auto* field : {&seq, &tick, &cycles, &argc, &digest}) {
-        if (!field->ok()) return field->error();
-      }
-      entry.seq = seq.value();
-      entry.tick = tick.value();
-      entry.cycles = cycles.value();
-      entry.argc = static_cast<std::uint32_t>(argc.value());
-      entry.arg_digest = digest.value();
-      out.trace.push_back(std::move(entry));
+    for (const xml::Node* event : trace_node->children_named("event")) {
+      TraceEntry& entry = out.trace.emplace_back();
+      xml::AttrReader row(*event);
+      row.num("seq", entry.seq);
+      row.str("symbol", entry.symbol, xml::kOptional);
+      row.num("tick", entry.tick);
+      row.num("cycles", entry.cycles);
+      row.num("argc", entry.argc);
+      row.hex("digest", entry.arg_digest);
+      if (!row.ok()) return row.error();
     }
   }
 
   if (const xml::Node* heap_node = node.child("heap")) {
-    out.heap_note = attr_or_empty(*heap_node, "note");
-    for (const xml::Node* row : heap_node->children_named("chunk")) {
-      ChunkState chunk;
-      auto header = row->attr_hex("header");
-      auto user = row->attr_hex("user");
-      auto size = row->attr_u64("size");
-      auto in_use = row->attr_u64("in_use", 1);
-      auto suspect = suspect_flag(*row);
-      for (const auto* field : {&header, &user, &size, &in_use, &suspect}) {
-        if (!field->ok()) return field->error();
-      }
-      chunk.header = header.value();
-      chunk.user = user.value();
-      chunk.size = size.value();
-      chunk.in_use = in_use.value() != 0;
-      chunk.suspect = suspect.value() != 0;
-      out.heap.push_back(chunk);
+    xml::AttrReader(*heap_node).str("note", out.heap_note, xml::kOptional);
+    for (const xml::Node* chunk_node : heap_node->children_named("chunk")) {
+      ChunkState& chunk = out.heap.emplace_back();
+      xml::AttrReader row(*chunk_node);
+      row.hex("header", chunk.header);
+      row.hex("user", chunk.user);
+      row.num("size", chunk.size);
+      row.flag("in_use", chunk.in_use);
+      row.flag("suspect", chunk.suspect, xml::kOptional);
+      if (!row.ok()) return row.error();
     }
   }
 
   if (const xml::Node* regions_node = node.child("regions")) {
-    for (const xml::Node* row : regions_node->children_named("region")) {
-      RegionState region;
-      auto base = row->attr_hex("base");
-      auto size = row->attr_u64("size");
-      auto perm = row->attr_u64("perm", std::numeric_limits<std::uint8_t>::max());
-      auto suspect = suspect_flag(*row);
-      for (const auto* field : {&base, &size, &perm, &suspect}) {
-        if (!field->ok()) return field->error();
-      }
-      region.base = base.value();
-      region.size = size.value();
-      region.perm = static_cast<std::uint8_t>(perm.value());
-      region.kind = attr_or_empty(*row, "kind");
-      region.label = attr_or_empty(*row, "label");
-      region.suspect = suspect.value() != 0;
-      out.regions.push_back(std::move(region));
+    for (const xml::Node* region_node : regions_node->children_named("region")) {
+      RegionState& region = out.regions.emplace_back();
+      xml::AttrReader row(*region_node);
+      row.hex("base", region.base);
+      row.num("size", region.size);
+      row.num("perm", region.perm);
+      row.str("kind", region.kind, xml::kOptional);
+      row.str("label", region.label, xml::kOptional);
+      row.flag("suspect", region.suspect, xml::kOptional);
+      if (!row.ok()) return row.error();
     }
   }
 
   if (const xml::Node* repairs_node = node.child("repairs")) {
-    for (const xml::Node* row : repairs_node->children_named("repair")) {
-      RepairEvent repair;
-      auto action = repair_action_from_name(attr_or_empty(*row, "action"));
-      if (!action.ok()) return action.error();
-      repair.action = action.value();
-      repair.symbol = attr_or_empty(*row, "symbol");
-      repair.detail = attr_or_empty(*row, "detail");
-      auto seq = row->attr_u64("seq");
-      auto tick = row->attr_u64("tick");
-      auto addr = row->attr_hex("addr");
-      auto requested = row->attr_u64("requested");
-      auto granted = row->attr_u64("granted");
-      for (const auto* field : {&seq, &tick, &addr, &requested, &granted}) {
-        if (!field->ok()) return field->error();
-      }
-      repair.seq = seq.value();
-      repair.tick = tick.value();
-      repair.fault_addr = addr.value();
-      repair.requested = requested.value();
-      repair.granted = granted.value();
-      out.repairs.push_back(std::move(repair));
+    for (const xml::Node* repair_node : repairs_node->children_named("repair")) {
+      RepairEvent& repair = out.repairs.emplace_back();
+      xml::AttrReader row(*repair_node);
+      row.num("seq", repair.seq);
+      row.num("tick", repair.tick);
+      row.word("action", repair.action, simlib::kRepairActionNames);
+      row.str("symbol", repair.symbol, xml::kOptional);
+      row.hex("addr", repair.fault_addr);
+      row.num("requested", repair.requested);
+      row.num("granted", repair.granted);
+      row.str("detail", repair.detail, xml::kOptional);
+      if (!row.ok()) return row.error();
     }
   }
   return out;

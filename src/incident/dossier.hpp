@@ -108,13 +108,4 @@ struct Dossier {
 // Strict parser for the <dossier> document (round-trips to_xml()).
 [[nodiscard]] Result<Dossier> from_xml(const xml::Node& node);
 
-// Detector name <-> enum (the XML attribute encoding).
-[[nodiscard]] Result<simlib::DetectionKind> detection_kind_from_name(const std::string& name);
-
-// Repair action name <-> enum (the XML attribute encoding).
-[[nodiscard]] Result<simlib::RepairAction> repair_action_from_name(const std::string& name);
-
-// "0x1a2b" rendering shared by the XML and text serializers.
-[[nodiscard]] std::string hex_addr(std::uint64_t value);
-
 }  // namespace healers::incident

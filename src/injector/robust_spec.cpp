@@ -1,7 +1,9 @@
 #include "injector/robust_spec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
+#include <string_view>
 
 #include "typelattice/subsume.hpp"
 
@@ -66,57 +68,28 @@ void checks_to_xml(const DerivedChecks& checks, xml::Node& node) {
   }
 }
 
-DerivedChecks checks_from_xml(const xml::Node* el) {
-  DerivedChecks checks;
-  if (el == nullptr) return checks;
-  checks.require_nonnull = el->attr_int("nonnull", 0) != 0;
-  checks.require_mapped = el->attr_int("mapped", 0) != 0;
-  checks.require_writable = el->attr_int("writable", 0) != 0;
-  checks.require_terminated = el->attr_int("terminated", 0) != 0;
-  checks.require_size_check = el->attr_int("size", 0) != 0;
-  checks.require_heap_pointer = el->attr_int("heapptr", 0) != 0;
-  checks.require_file = el->attr_int("file", 0) != 0;
-  checks.require_callback = el->attr_int("callback", 0) != 0;
-  if (el->attr("range_lo") != nullptr && el->attr("range_hi") != nullptr) {
-    checks.range = {el->attr_int("range_lo", 0), el->attr_int("range_hi", 0)};
+Status checks_from_xml(const xml::Node& el, DerivedChecks& checks) {
+  xml::AttrReader attrs(el);
+  attrs.flag("nonnull", checks.require_nonnull, xml::kOptional);
+  attrs.flag("mapped", checks.require_mapped, xml::kOptional);
+  attrs.flag("writable", checks.require_writable, xml::kOptional);
+  attrs.flag("terminated", checks.require_terminated, xml::kOptional);
+  attrs.flag("size", checks.require_size_check, xml::kOptional);
+  attrs.flag("heapptr", checks.require_heap_pointer, xml::kOptional);
+  attrs.flag("file", checks.require_file, xml::kOptional);
+  attrs.flag("callback", checks.require_callback, xml::kOptional);
+  // A range has both ends or neither.
+  if (attrs.has("range_lo") || attrs.has("range_hi")) {
+    auto& range = checks.range.emplace();
+    attrs.signed_num("range_lo", range.first);
+    attrs.signed_num("range_hi", range.second);
   }
-  return checks;
+  if (!attrs.ok()) return attrs.error();
+  return Status::success();
 }
 
-const char* class_name(parser::TypeClass cls) {
-  switch (cls) {
-    case parser::TypeClass::kPointer: return "pointer";
-    case parser::TypeClass::kIntegral: return "integral";
-    case parser::TypeClass::kFloating: return "floating";
-    case parser::TypeClass::kVoid: return "void";
-  }
-  return "?";
-}
-
-parser::TypeClass class_from_name(const std::string& name) {
-  if (name == "pointer") return parser::TypeClass::kPointer;
-  if (name == "floating") return parser::TypeClass::kFloating;
-  if (name == "void") return parser::TypeClass::kVoid;
-  return parser::TypeClass::kIntegral;
-}
-
-// TestTypeId <-> string for serialization: the reverse of lattice::to_string
-// as a map built once — campaign parsing calls this per <verdict>, and the
-// old linear rescan re-stringified all 24 ids per lookup.
-std::optional<lattice::TestTypeId> test_type_from_name(const std::string& name) {
-  using lattice::TestTypeId;
-  static const std::map<std::string, TestTypeId> kByName = [] {
-    std::map<std::string, TestTypeId> names;
-    for (std::size_t i = 0; i < lattice::kTestTypeCount; ++i) {
-      const auto id = static_cast<TestTypeId>(i);
-      names.emplace(lattice::to_string(id), id);
-    }
-    return names;
-  }();
-  const auto it = kByName.find(name);
-  if (it == kByName.end()) return std::nullopt;
-  return it->second;
-}
+// skipped="noreturn" is the one word; a probed function has no attribute.
+constexpr std::array<std::string_view, 2> kSkippedNames = {"", "noreturn"};
 
 }  // namespace
 
@@ -129,13 +102,13 @@ xml::Node RobustSpec::to_xml() const {
   node.set_attr("crashes", std::to_string(crashes));
   node.set_attr("hangs", std::to_string(hangs));
   node.set_attr("aborts", std::to_string(aborts));
-  if (skipped_noreturn) node.set_attr("skipped", "noreturn");
+  if (skipped_noreturn) node.set_attr("skipped", xml::name_of(kSkippedNames, true));
   node.add_text_child("prototype", declaration);
   for (const ArgSpec& arg : args) {
     xml::Node& arg_el = node.add_child("arg");
     arg_el.set_attr("index", std::to_string(arg.index));
     arg_el.set_attr("ctype", arg.ctype);
-    arg_el.set_attr("class", class_name(arg.cls));
+    arg_el.set_attr("class", xml::name_of(parser::kTypeClassNames, arg.cls));
     arg_el.set_attr("safe-type", arg.safe_type_name());
     for (const TypeVerdict& v : arg.verdicts) {
       xml::Node& v_el = arg_el.add_child("verdict");
@@ -155,41 +128,41 @@ xml::Node RobustSpec::to_xml() const {
 Result<RobustSpec> RobustSpec::from_xml(const xml::Node& node) {
   if (node.name() != "robust-spec") return Error("expected <robust-spec>");
   RobustSpec spec;
-  const std::string* function = node.attr("function");
-  if (function == nullptr) return Error("<robust-spec> missing function attribute");
-  spec.function = *function;
-  if (const std::string* library = node.attr("library")) spec.library = *library;
-  spec.total_probes = static_cast<std::uint64_t>(node.attr_int("probes", 0));
-  spec.total_failures = static_cast<std::uint64_t>(node.attr_int("failures", 0));
-  spec.crashes = static_cast<std::uint64_t>(node.attr_int("crashes", 0));
-  spec.hangs = static_cast<std::uint64_t>(node.attr_int("hangs", 0));
-  spec.aborts = static_cast<std::uint64_t>(node.attr_int("aborts", 0));
-  spec.skipped_noreturn = node.attr("skipped") != nullptr;
+  xml::AttrReader attrs(node);
+  attrs.str("function", spec.function);
+  attrs.str("library", spec.library, xml::kOptional);
+  attrs.num("probes", spec.total_probes);
+  attrs.num("failures", spec.total_failures);
+  attrs.num("crashes", spec.crashes);
+  attrs.num("hangs", spec.hangs);
+  attrs.num("aborts", spec.aborts);
+  attrs.word("skipped", spec.skipped_noreturn, kSkippedNames, xml::kOptional);
+  if (!attrs.ok()) return attrs.error();
   if (const xml::Node* proto = node.child("prototype")) spec.declaration = proto->text();
   for (const xml::Node* arg_el : node.children_named("arg")) {
-    ArgSpec arg;
-    arg.index = static_cast<int>(arg_el->attr_int("index", 0));
+    ArgSpec& arg = spec.args.emplace_back();
+    // safe-type is safe_type_name() of the checks, so it is not read.
+    xml::AttrReader arg_attrs(*arg_el);
+    arg_attrs.num("index", arg.index);
+    arg_attrs.str("ctype", arg.ctype, xml::kOptional);
+    arg_attrs.word("class", arg.cls, parser::kTypeClassNames, xml::kOptional);
+    if (!arg_attrs.ok()) return arg_attrs.error();
     if (arg.index < 1) return Error("<arg> with bad index");
-    if (const std::string* ctype = arg_el->attr("ctype")) arg.ctype = *ctype;
-    const std::string* cls = arg_el->attr("class");
-    arg.cls = class_from_name(cls == nullptr ? "integral" : *cls);
     for (const xml::Node* v_el : arg_el->children_named("verdict")) {
-      TypeVerdict v;
-      const std::string* type_name = v_el->attr("type");
-      if (type_name == nullptr) return Error("<verdict> missing type");
-      const auto id = test_type_from_name(*type_name);
-      if (!id.has_value()) return Error("<verdict> unknown type " + *type_name);
-      v.id = *id;
-      v.probes = static_cast<int>(v_el->attr_int("probes", 0));
-      v.failures = static_cast<int>(v_el->attr_int("failures", 0));
-      v.crashes = static_cast<int>(v_el->attr_int("crashes", 0));
-      v.hangs = static_cast<int>(v_el->attr_int("hangs", 0));
-      v.aborts = static_cast<int>(v_el->attr_int("aborts", 0));
-      if (const std::string* first = v_el->attr("first")) v.first_failure = *first;
-      arg.verdicts.push_back(std::move(v));
+      TypeVerdict& v = arg.verdicts.emplace_back();
+      xml::AttrReader row(*v_el);
+      row.word("type", v.id, lattice::kTestTypeNames);
+      row.num("probes", v.probes);
+      row.num("failures", v.failures);
+      row.num("crashes", v.crashes);
+      row.num("hangs", v.hangs);
+      row.num("aborts", v.aborts);
+      row.str("first", v.first_failure, xml::kOptional);
+      if (!row.ok()) return row.error();
     }
-    arg.checks = checks_from_xml(arg_el->child("checks"));
-    spec.args.push_back(std::move(arg));
+    if (const xml::Node* checks = arg_el->child("checks")) {
+      if (Status read = checks_from_xml(*checks, arg.checks); !read.ok()) return read.error();
+    }
   }
   return spec;
 }
@@ -306,8 +279,10 @@ xml::Node CampaignResult::to_xml() const {
 Result<CampaignResult> CampaignResult::from_xml(const xml::Node& node) {
   if (node.name() != "campaign") return Error("expected <campaign>");
   CampaignResult out;
-  if (const std::string* library = node.attr("library")) out.library = *library;
-  out.seed = static_cast<std::uint64_t>(node.attr_int("seed", 0));
+  xml::AttrReader attrs(node);
+  attrs.str("library", out.library, xml::kOptional);
+  attrs.num("seed", out.seed);
+  if (!attrs.ok()) return attrs.error();
   for (const xml::Node* spec_el : node.children_named("robust-spec")) {
     auto spec = RobustSpec::from_xml(*spec_el);
     if (!spec.ok()) return spec.error();

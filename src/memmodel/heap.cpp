@@ -207,7 +207,7 @@ std::string Heap::check_integrity() const {
     if (info.in_use) continue;
     ++free_chunks;
     if (std::count(on_list.begin(), on_list.end(), info.header) != 1) {
-      return "free chunk at 0x" + std::to_string(info.header) + " not on list exactly once";
+      return "free chunk at " + hex_addr(info.header) + " not on list exactly once";
     }
   }
   if (free_chunks != on_list.size()) {

@@ -8,8 +8,10 @@
 // canonical one-line form, which tests round-trip against the original.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace healers::parser {
@@ -33,6 +35,10 @@ enum class TypeClass : std::uint8_t {
   kFloating,
   kPointer,
 };
+
+// Word i names the TypeClass with value i (campaign XML, lattice signatures).
+inline constexpr std::array<std::string_view, 4> kTypeClassNames = {"void", "integral",
+                                                                    "floating", "pointer"};
 
 struct TypeExpr {
   BaseType base = BaseType::kInt;

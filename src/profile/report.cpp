@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "simlib/cerrno.hpp"
@@ -97,15 +96,18 @@ xml::Node to_xml(const ProfileReport& report) {
 namespace {
 
 // Reads the <error errno= count=> rows under `parent` into `counts`. Each
-// errno appears once, as the encoder writes it (and as HFB1 requires).
+// errno appears once, as the encoder writes it (and as HFB1 requires); the
+// name attribute is errno_name(errno), so it is not read.
 Status read_errnos(const xml::Node& parent, std::map<int, std::uint64_t>& counts) {
   for (const xml::Node* err_el : parent.children_named("error")) {
-    auto err = err_el->attr_u64("errno", std::numeric_limits<int>::max());
-    if (!err.ok()) return err.error();
-    auto count = err_el->attr_u64("count");
-    if (!count.ok()) return count.error();
-    if (!counts.emplace(static_cast<int>(err.value()), count.value()).second) {
-      return Error("<error> duplicate errno " + std::to_string(err.value()));
+    int err = 0;
+    std::uint64_t count = 0;
+    xml::AttrReader row(*err_el);
+    row.num("errno", err);
+    row.num("count", count);
+    if (!row.ok()) return row.error();
+    if (!counts.emplace(err, count).second) {
+      return Error("<error> duplicate errno " + std::to_string(err));
     }
   }
   return Status::success();
@@ -116,26 +118,24 @@ Status read_errnos(const xml::Node& parent, std::map<int, std::uint64_t>& counts
 Result<ProfileReport> from_xml(const xml::Node& node) {
   if (node.name() != "profile") return Error("expected <profile>");
   ProfileReport report;
-  if (const std::string* process = node.attr("process")) report.process = *process;
-  if (const std::string* wrapper = node.attr("wrapper")) report.wrapper = *wrapper;
+  // total_calls and total_cycles are sums over the functions: checked as
+  // numbers, not kept.
+  std::uint64_t total = 0;
+  xml::AttrReader attrs(node);
+  attrs.str("process", report.process, xml::kOptional);
+  attrs.str("wrapper", report.wrapper, xml::kOptional);
+  attrs.num("total_calls", total, xml::kOptional);
+  attrs.num("total_cycles", total, xml::kOptional);
+  if (!attrs.ok()) return attrs.error();
   for (const xml::Node* fn_el : node.children_named("function")) {
-    FunctionProfile fn;
-    const std::string* name = fn_el->attr("name");
-    if (name == nullptr) return Error("<function> missing name");
-    fn.symbol = *name;
-    auto calls = fn_el->attr_u64("calls");
-    auto cycles = fn_el->attr_u64("cycles");
-    // The encoder omits contained="0".
-    auto contained = fn_el->attr("contained") == nullptr ? Result<std::uint64_t>(0)
-                                                        : fn_el->attr_u64("contained");
-    for (const auto* field : {&calls, &cycles, &contained}) {
-      if (!field->ok()) return field->error();
-    }
-    fn.calls = calls.value();
-    fn.cycles = cycles.value();
-    fn.contained = contained.value();
+    FunctionProfile& fn = report.functions.emplace_back();
+    xml::AttrReader row(*fn_el);
+    row.str("name", fn.symbol);
+    row.num("calls", fn.calls);
+    row.num("cycles", fn.cycles);
+    row.num("contained", fn.contained, xml::kOptional);  // the encoder omits contained="0"
+    if (!row.ok()) return row.error();
     if (Status errnos = read_errnos(*fn_el, fn.errno_counts); !errnos.ok()) return errnos.error();
-    report.functions.push_back(std::move(fn));
   }
   if (const xml::Node* global = node.child("errors")) {
     if (Status errnos = read_errnos(*global, report.global_errnos); !errnos.ok()) {

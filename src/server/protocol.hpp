@@ -21,6 +21,7 @@
 // (for cache hits) across server restarts.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -62,9 +63,16 @@ enum class ResponseStatus : std::uint8_t {
   kShed = 2,   // admission control rejected the request (queue overflow)
 };
 
-[[nodiscard]] std::string_view to_string(Endpoint endpoint) noexcept;
-[[nodiscard]] std::string_view to_string(BundleKind kind) noexcept;
-[[nodiscard]] std::string_view to_string(ResponseStatus status) noexcept;
+// Word i names the enumerator with value i (the XML attribute values).
+inline constexpr std::array<std::string_view, 2> kEndpointNames = {"derive", "bundle"};
+inline constexpr std::array<std::string_view, 4> kBundleNames = {"robustness", "security",
+                                                                 "profiling", "repair"};
+inline constexpr std::array<std::string_view, 2> kFormatNames = {"xml", "binary"};
+inline constexpr std::array<std::string_view, 3> kStatusNames = {"ok", "error", "shed"};
+
+[[nodiscard]] inline std::string_view to_string(BundleKind kind) noexcept {
+  return kBundleNames[static_cast<std::size_t>(kind)];
+}
 
 struct DeriveRequest {
   Endpoint endpoint = Endpoint::kDerive;

@@ -20,6 +20,10 @@
 namespace healers::sim {
 namespace {
 
+// The lookahead window: emissions inside one virtual second are merged and
+// delivered together; flush()/drain() run at every window boundary.
+constexpr VirtualTime kWindow = kMicrosPerVirtualSecond;
+
 enum class EmissionKind : std::uint8_t { kProfile, kDossier, kSurface, kDerive };
 
 // One encoded payload waiting for the serial delivery phase. `seq` is the
@@ -210,7 +214,6 @@ FleetSim::FleetSim(const core::Toolkit& toolkit, SimConfig config) : config_(con
   if (config_.hosts == 0) config_.hosts = 1;
   if (config_.shards == 0) config_.shards = 1;
   config_.shards = std::min(config_.shards, config_.hosts);
-  if (config_.window == 0) config_.window = kMicrosPerVirtualSecond;
   collector_ = std::make_unique<fleet::FleetCollector>(config_.collector);
   server_ = std::make_unique<server::DeriveServer>(toolkit, config_.server);
 }
@@ -257,8 +260,8 @@ SimStats FleetSim::run() {
   std::vector<Emission*> order;
   ResponseClassifier classifier;
 
-  for (VirtualTime wstart = 0; wstart < horizon; wstart += config_.window) {
-    const VirtualTime wend = std::min(wstart + config_.window, horizon);
+  for (VirtualTime wstart = 0; wstart < horizon; wstart += kWindow) {
+    const VirtualTime wend = std::min(wstart + kWindow, horizon);
 
     // Parallel advance: each shard drains its heap up to the window edge
     // into its private out-buffer. No shared state is touched.

@@ -42,9 +42,6 @@ struct SimConfig {
   bool debloat = false;
   unsigned shards = 8;  // sim shards (host partitions), NOT collector shards
   unsigned jobs = 1;    // real threads advancing shards; 0 = all cores
-  // Lookahead window: emissions inside one window are merged and delivered
-  // together; flush()/drain() run at every window boundary.
-  VirtualTime window = kMicrosPerVirtualSecond;
   // Downstream services. Defaults are sized for large fleets; tests shrink
   // the capacities to force drops and sheds on purpose.
   fleet::CollectorConfig collector{
@@ -53,7 +50,7 @@ struct SimConfig {
 };
 
 // Global counters of one run. Every field is trace-determined: fixed
-// (seed, hosts, virtual_seconds, traffic, window) => identical stats.
+// (seed, hosts, virtual_seconds, traffic) => identical stats.
 struct SimStats {
   std::uint64_t hosts = 0;
   std::uint64_t virtual_seconds = 0;

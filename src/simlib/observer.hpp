@@ -14,7 +14,9 @@
 // asserts that enabling an observer leaves steps/cycles bit-identical.
 #pragma once
 
+#include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memmodel/machine.hpp"
@@ -38,7 +40,14 @@ enum class DetectionKind : std::uint8_t {
                       // executable's debloated surface profile
 };
 
-[[nodiscard]] std::string to_string(DetectionKind kind);
+// Word i names the DetectionKind with value i (dossier XML, fleet summaries).
+inline constexpr std::array<std::string_view, 7> kDetectionKindNames = {
+    "arg-check",    "heap-smash", "stack-smash",      "access-fault",
+    "error-inject", "repair",     "surface-violation"};
+
+[[nodiscard]] inline std::string to_string(DetectionKind kind) {
+  return std::string(kDetectionKindNames[static_cast<std::size_t>(kind)]);
+}
 
 // How a repair wrapper rewrote an unsafe call (failure-oblivious execution /
 // safe substitution). Carried by on_repair and by incident::RepairEvent.
@@ -49,7 +58,13 @@ enum class RepairAction : std::uint8_t {
   kSafeReturn,         // skipped the call, manufactured the documented error
 };
 
-[[nodiscard]] std::string to_string(RepairAction action);
+// Word i names the RepairAction with value i.
+inline constexpr std::array<std::string_view, 4> kRepairActionNames = {
+    "truncate-write", "substitute-bounded", "synthesize-input", "safe-return"};
+
+[[nodiscard]] inline std::string to_string(RepairAction action) {
+  return std::string(kRepairActionNames[static_cast<std::size_t>(action)]);
+}
 
 class CallObserver {
  public:

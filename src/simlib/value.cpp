@@ -1,22 +1,8 @@
 #include "simlib/value.hpp"
 
-#include <array>
+#include "support/faults.hpp"
 
 namespace healers::simlib {
-
-namespace {
-std::string hex(std::uint64_t value) {
-  static constexpr std::array<char, 16> kDigits = {'0', '1', '2', '3', '4', '5', '6', '7',
-                                                   '8', '9', 'a', 'b', 'c', 'd', 'e', 'f'};
-  if (value == 0) return "0x0";
-  std::string out;
-  while (value != 0) {
-    out.insert(out.begin(), kDigits[value & 0xF]);
-    value >>= 4;
-  }
-  return "0x" + out;
-}
-}  // namespace
 
 std::string SimValue::to_string() const {
   switch (kind_) {
@@ -25,7 +11,7 @@ std::string SimValue::to_string() const {
     case Kind::kFloat:
       return std::to_string(float_);
     case Kind::kPtr:
-      return ptr_ == 0 ? "NULL" : hex(ptr_);
+      return ptr_ == 0 ? "NULL" : hex_addr(ptr_);
   }
   return "?";
 }

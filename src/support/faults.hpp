@@ -27,6 +27,8 @@ enum class FaultKind : std::uint8_t {
 
 // Lower-case hex digits of value, without a prefix ("0" for 0).
 [[nodiscard]] std::string to_hex(std::uint64_t value);
+// "0x" and to_hex(value): how HEALERS prints an address or a digest.
+[[nodiscard]] inline std::string hex_addr(std::uint64_t value) { return "0x" + to_hex(value); }
 
 // Raised by the memory model / simulated machine at the faulting access.
 class AccessFault : public std::runtime_error {

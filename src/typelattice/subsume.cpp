@@ -346,13 +346,7 @@ std::string ImplicationIndex::validate() {
 
 std::string ImplicationProfileStore::signature(TypeClass cls,
                                                const parser::ArgAnnotation* note) {
-  std::string out;
-  switch (cls) {
-    case TypeClass::kPointer: out = "pointer"; break;
-    case TypeClass::kIntegral: out = "integral"; break;
-    case TypeClass::kFloating: out = "floating"; break;
-    case TypeClass::kVoid: out = "void"; break;
-  }
+  std::string out(parser::kTypeClassNames[static_cast<std::size_t>(cls)]);
   if (note == nullptr) return out;
   std::vector<std::string> flags;
   if (note->nonnull) flags.emplace_back("nonnull");

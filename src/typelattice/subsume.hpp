@@ -34,7 +34,7 @@
 
 namespace healers::lattice {
 
-inline constexpr std::size_t kTestTypeCount = 24;
+inline constexpr std::size_t kTestTypeCount = kTestTypeNames.size();
 
 // The number of probe cases a test type expands to, as a pure function of
 // the type and the --variants knob. Must equal ValueFactory::cases_of(id,

@@ -11,36 +11,6 @@ namespace healers::lattice {
 using parser::TypeClass;
 using simlib::SimValue;
 
-std::string to_string(TestTypeId id) {
-  switch (id) {
-    case TestTypeId::kIntAsPtr: return "int_as_ptr";
-    case TestTypeId::kNull: return "null";
-    case TestTypeId::kWildPtr: return "wild_ptr";
-    case TestTypeId::kFreedPtr: return "freed_ptr";
-    case TestTypeId::kMisaligned: return "misaligned";
-    case TestTypeId::kReadOnlyCString: return "readonly_cstring";
-    case TestTypeId::kUntermBuf: return "unterminated_buf";
-    case TestTypeId::kTinyWritable: return "tiny_writable";
-    case TestTypeId::kValidWritable: return "valid_writable";
-    case TestTypeId::kValidCString: return "valid_cstring";
-    case TestTypeId::kZero: return "zero";
-    case TestTypeId::kOne: return "one";
-    case TestTypeId::kNegOne: return "neg_one";
-    case TestTypeId::kIntMin: return "int_min";
-    case TestTypeId::kIntMax: return "int_max";
-    case TestTypeId::kHugeSize: return "huge_size";
-    case TestTypeId::kSmallRange: return "small_range";
-    case TestTypeId::kByteRange: return "byte_range";
-    case TestTypeId::kFZero: return "f_zero";
-    case TestTypeId::kFOne: return "f_one";
-    case TestTypeId::kFNegative: return "f_negative";
-    case TestTypeId::kFHuge: return "f_huge";
-    case TestTypeId::kFNan: return "f_nan";
-    case TestTypeId::kFInf: return "f_inf";
-  }
-  return "?";
-}
-
 const std::vector<TestTypeId>& test_types_for(TypeClass cls) {
   static const std::vector<TestTypeId> kPointer = {
       TestTypeId::kIntAsPtr,  TestTypeId::kNull,         TestTypeId::kWildPtr,

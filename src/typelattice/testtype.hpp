@@ -10,8 +10,10 @@
 // weakest safe argument type (see injector/robust_spec.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "linker/process.hpp"
@@ -52,7 +54,19 @@ enum class TestTypeId : std::uint8_t {
   kFInf,
 };
 
-[[nodiscard]] std::string to_string(TestTypeId id);
+// Word i names the TestTypeId with value i (campaign XML, reports).
+inline constexpr std::array<std::string_view, 24> kTestTypeNames = {
+    // pointer class
+    "int_as_ptr", "null", "wild_ptr", "freed_ptr", "misaligned", "readonly_cstring",
+    "unterminated_buf", "tiny_writable", "valid_writable", "valid_cstring",
+    // integral class
+    "zero", "one", "neg_one", "int_min", "int_max", "huge_size", "small_range", "byte_range",
+    // floating class
+    "f_zero", "f_one", "f_negative", "f_huge", "f_nan", "f_inf"};
+
+[[nodiscard]] inline std::string to_string(TestTypeId id) {
+  return std::string(kTestTypeNames[static_cast<std::size_t>(id)]);
+}
 
 // One probe value plus provenance for reports.
 struct TestCase {

@@ -60,7 +60,7 @@ struct HeapGuardState {
                                          user);
       }
       throw SimAbort("security wrapper: heap smashing detected at " + at +
-                     " (canary clobbered for allocation 0x" + std::to_string(user) + ")");
+                     " (canary clobbered for allocation " + hex_addr(user) + ")");
     }
   }
 

@@ -63,45 +63,65 @@ Node& Node::add_text_child(std::string name, std::string text) {
   return c;
 }
 
-long long Node::attr_int(std::string_view key, long long fallback) const noexcept {
-  const std::string* raw = attr(key);
-  if (raw == nullptr) return fallback;
-  long long value = 0;
-  const auto [ptr, ec] = std::from_chars(raw->data(), raw->data() + raw->size(), value);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size()) return fallback;
-  return value;
-}
-
-namespace {
-
-// Parses all of `digits` in `base`; false on anything else (empty, a sign,
-// overflow).
-bool parse_unsigned(std::string_view digits, int base, std::uint64_t& value) {
-  const char* const end = digits.data() + digits.size();
-  const auto [stop, error] = std::from_chars(digits.data(), end, value, base);
-  return error == std::errc{} && stop == end;
-}
-
-}  // namespace
-
-Result<std::uint64_t> Node::attr_u64(std::string_view key, std::uint64_t max) const {
-  const std::string* raw = attr(key);
-  if (raw == nullptr) return Error("<" + name_ + "> missing attribute " + std::string(key));
-  std::uint64_t value = 0;
-  if (!parse_unsigned(*raw, 10, value) || value > max) {
-    return Error("<" + name_ + "> malformed attribute " + std::string(key) + "=\"" + *raw + "\"");
+const std::string* AttrReader::find(std::string_view key, Need need) {
+  if (error_) return nullptr;
+  const std::string* raw = node_.attr(key);
+  if (raw == nullptr && need == Need::kRequired) {
+    error_.emplace("<" + node_.name() + "> missing attribute " + std::string(key));
   }
-  return value;
+  return raw;
 }
 
-Result<std::uint64_t> Node::attr_hex(std::string_view key) const {
-  const std::string* raw = attr(key);
-  if (raw == nullptr) return Error("<" + name_ + "> missing attribute " + std::string(key));
+void AttrReader::malformed(std::string_view key, const std::string& raw) {
+  error_.emplace("<" + node_.name() + "> malformed attribute " + std::string(key) + "=\"" + raw +
+                 "\"");
+}
+
+void AttrReader::str(std::string_view key, std::string& field, Need need) {
+  if (const std::string* raw = find(key, need)) field = *raw;
+}
+
+// from_chars takes a sign only into a signed value, so this parse refuses
+// one; it refuses empty text and overflow too. Hex is written "0x" first.
+bool AttrReader::digits(std::string_view key, Need need, int base, std::uint64_t max,
+                        std::uint64_t& value) {
+  const std::string* raw = find(key, need);
+  if (raw == nullptr) return false;
+  std::string_view text = *raw;
+  const bool prefixed = base != 16 || text.starts_with("0x");
+  if (base == 16 && prefixed) text.remove_prefix(2);
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value, base);
+  if (prefixed && error == std::errc{} && stop == end && value <= max) return true;
+  malformed(key, *raw);
+  return false;
+}
+
+bool AttrReader::signed_digits(std::string_view key, Need need, std::int64_t min,
+                               std::int64_t max, std::int64_t& value) {
+  const std::string* raw = find(key, need);
+  if (raw == nullptr) return false;
+  const char* const end = raw->data() + raw->size();
+  const auto [stop, error] = std::from_chars(raw->data(), end, value);
+  if (error == std::errc{} && stop == end && value >= min && value <= max) return true;
+  malformed(key, *raw);
+  return false;
+}
+
+void AttrReader::hex(std::string_view key, std::uint64_t& field, Need need) {
   std::uint64_t value = 0;
-  if (!raw->starts_with("0x") || !parse_unsigned(std::string_view(*raw).substr(2), 16, value)) {
-    return Error("<" + name_ + "> malformed attribute " + std::string(key) + "=\"" + *raw + "\"");
+  if (digits(key, need, 16, std::numeric_limits<std::uint64_t>::max(), value)) field = value;
+}
+
+bool AttrReader::word_index(std::string_view key, Need need,
+                            std::span<const std::string_view> names, std::size_t& index) {
+  const std::string* raw = find(key, need);
+  if (raw == nullptr) return false;
+  for (index = 0; index < names.size(); ++index) {
+    if (!names[index].empty() && names[index] == *raw) return true;
   }
-  return value;
+  malformed(key, *raw);
+  return false;
 }
 
 void escape_into(std::string_view raw, std::string& out) {

@@ -32,7 +32,9 @@ TEST_F(AttackFixture, HeapSmashBlockedBySecurityWrapper) {
   EXPECT_FALSE(result.hijack_succeeded);
   EXPECT_TRUE(result.blocked_by_wrapper);
   EXPECT_EQ(result.outcome.kind, linker::CallOutcome::Kind::kAbort);
-  EXPECT_NE(result.outcome.detail.find("heap smashing"), std::string::npos);
+  EXPECT_EQ(result.outcome.detail,
+            "security wrapper: heap smashing detected at memcpy (canary clobbered for allocation "
+            "0x65030)");
 }
 
 TEST_F(AttackFixture, StackSmashSucceedsUnprotected) {

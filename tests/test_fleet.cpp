@@ -366,6 +366,31 @@ TEST(FleetCollectorTest, MalformedDocumentsAreCountedNotAggregated) {
   EXPECT_EQ(snap.submitted, snap.aggregated + snap.malformed + snap.dropped + snap.pending);
 }
 
+// first_error() is the error of the earliest malformed payload in the order
+// flush() claims payloads: shard by shard, each shard's queue in submit
+// order. Submits go round-robin, so payload i lands in shard i % 4 and the
+// first claimed malformed payload is 40, the first one in shard 0.
+TEST(FleetCollectorTest, FirstErrorIsTheSameForEveryWorkerCountAndRerun) {
+  std::vector<std::string> stream(64, encode_binary(sample_report()));
+  stream[3] = "<profile";
+  stream[9] = "<campaign/>";
+  stream[17] = std::string(kBinaryMagic) + "\x01";
+  stream[22] = R"(<profile><function name="f" calls="-5" cycles="1"/></profile>)";
+  stream[40] = R"(<profile><function name="g" calls="x" cycles="1"/></profile>)";
+  stream[51] = R"(<profile><function name="h" calls="1"/></profile>)";
+  stream[60] = "<dossier/>";
+  for (const unsigned workers : {1u, 4u}) {
+    for (int run = 0; run < 5; ++run) {
+      FleetCollector collector({.shards = 4, .batch_size = 2, .workers = workers});
+      for (const std::string& payload : stream) collector.submit(payload);
+      collector.flush();
+      EXPECT_EQ(collector.malformed(), 7u);
+      EXPECT_EQ(collector.first_error(), "<function> malformed attribute calls=\"x\"")
+          << workers << " workers, run " << run;
+    }
+  }
+}
+
 TEST(FleetCollectorTest, EmptyCollectorRendersCleanly) {
   FleetCollector collector;
   collector.flush();  // no-op

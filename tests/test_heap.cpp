@@ -151,6 +151,17 @@ TEST_F(HeapFixture, OverflowBetweenChunksIsSilent) {
   EXPECT_FALSE(heap.check_integrity().empty());  // and integrity sees it
 }
 
+TEST_F(HeapFixture, IntegrityNamesAnUnlistedFreeChunkInHex) {
+  // Empty the free list behind the bin sentinel, which sits right before the
+  // arena's first chunk: the one free chunk is then on no list.
+  const Addr first = heap.chunks().front().header;
+  const Addr bin = first - Heap::kMinChunk;
+  space.store64(bin + 16, bin);
+  space.store64(bin + 24, bin);
+  ASSERT_EQ(first, 0x10020u);
+  EXPECT_EQ(heap.check_integrity(), "free chunk at 0x10020 not on list exactly once");
+}
+
 TEST_F(HeapFixture, UnsafeUnlinkGivesArbitraryWrite) {
   // Reproduce the exploit primitive in isolation: craft a fake free chunk
   // after `a`, then free(a) and observe the 8-byte write at an address the

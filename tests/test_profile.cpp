@@ -71,7 +71,11 @@ TEST_F(ProfileFixture, XmlDocumentIsSelfDescribing) {
   for (const xml::Node* fn : doc.children_named("function")) {
     if (*fn->attr("name") == "strlen") {
       found_strlen = true;
-      EXPECT_EQ(fn->attr_int("calls", 0), 10);
+      std::uint64_t calls = 0;
+      xml::AttrReader attrs(*fn);
+      attrs.num("calls", calls);
+      EXPECT_TRUE(attrs.ok());
+      EXPECT_EQ(calls, 10u);
     }
   }
   EXPECT_TRUE(found_strlen);

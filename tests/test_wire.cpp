@@ -5,8 +5,11 @@
 // record, and a real spec-cache image is pinned by its FNV-1a hash. These
 // bytes live on disk and on the wire: a codec change that moves any of them
 // is a format break, and caches written by earlier builds must keep loading.
+// The seven XML twins decode the same records strictly, attribute by
+// attribute (the XmlTwin cases at the end).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,11 +20,17 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/toolkit.hpp"
+#include "debloat/surface.hpp"
 #include "fleet/collector.hpp"
 #include "fleet/wire.hpp"
+#include "gen/repair_policy.hpp"
+#include "incident/dossier.hpp"
+#include "profile/report.hpp"
 #include "server/codec.hpp"
 #include "server/protocol.hpp"
 #include "server/spec_cache.hpp"
@@ -875,6 +884,367 @@ TEST(WireFuzz, DecodeIntoResetsTheBundleKindOfADeriveRequest) {
   ASSERT_TRUE(fleet::record::decode_into(kRequest, request).ok());
   EXPECT_EQ(request.endpoint, server::Endpoint::kDerive);
   EXPECT_EQ(request.bundle, server::BundleKind::kRobustness);
+}
+
+// --- XML twins --------------------------------------------------------------------
+// The seven XML decoders read every attribute through xml::AttrReader. Each
+// twin's golden record serializes to one document. Every attribute in that
+// document is listed with the kind of value it holds: each value its kind
+// refuses is an error naming the element and the attribute, deleting a
+// required attribute is an error, and deleting an optional one decodes like
+// the document that spells out its default.
+
+std::string xml_of(const profile::ProfileReport& r) { return xml::serialize(profile::to_xml(r)); }
+std::string xml_of(const incident::Dossier& d) { return xml::serialize(d.to_xml()); }
+std::string xml_of(const debloat::SurfaceProfile& p) { return p.to_xml(); }
+std::string xml_of(const injector::CampaignResult& c) { return xml::serialize(c.to_xml()); }
+std::string xml_of(const server::DeriveRequest& r) { return xml::serialize(r.to_xml()); }
+std::string xml_of(const server::DeriveResponse& r) { return xml::serialize(r.to_xml()); }
+std::string xml_of(const gen::RepairPolicy& p) { return xml::serialize(p.to_xml()); }
+
+auto from_xml(const xml::Node& n, profile::ProfileReport*) { return profile::from_xml(n); }
+auto from_xml(const xml::Node& n, incident::Dossier*) { return incident::from_xml(n); }
+auto from_xml(const xml::Node& n, debloat::SurfaceProfile*) { return debloat::surface_from_xml(n); }
+template <class R>
+auto from_xml(const xml::Node& n, R*) { return R::from_xml(n); }
+
+// A record's canonical form: its binary record (a repair policy has none),
+// then its XML. Equal forms mean an equal record that serializes again to
+// the same document.
+template <class R>
+std::string canonical(const R& value) {
+  if constexpr (std::is_same_v<R, gen::RepairPolicy>) {
+    return xml_of(value);
+  } else {
+    return fleet::record::encode(value) + xml_of(value);
+  }
+}
+
+template <class R>
+Result<std::string> decode_twin(std::string_view document) {
+  auto root = xml::parse(document);
+  if (!root.ok()) return root.error();
+  auto value = from_xml(root.value(), static_cast<R*>(nullptr));
+  if (!value.ok()) return value.error();
+  return canonical(value.value());
+}
+
+std::string error_of(const Result<std::string>& decoded) {
+  return decoded.ok() ? "(decoded)" : decoded.error().message;
+}
+
+enum class Value {
+  kText,      // any text
+  kDerived,   // text or a number the encoder computes from other fields; kept only as checked
+  kUnsigned,  // decimal digits
+  kSigned,    // decimal, may start with '-'; every signed field is 64 bits
+  kHex,       // "0x" and hex digits
+  kFlag,      // "0" or "1"
+  kWord,      // one of an enum's words
+};
+constexpr bool kRequired = true;
+constexpr bool kOptional = false;
+constexpr std::string_view kPastU64 = "18446744073709551616";
+constexpr std::string_view kPastInt = "2147483648";
+
+// One attribute of a twin's golden document.
+template <class R>
+struct TwinAttr {
+  std::string_view element;
+  std::string_view key;
+  Value value;
+  bool required;
+  // Optional: deleted, it decodes like the document with key="absent_as",
+  // or, with `absent` set, like the golden record absent() changes. A
+  // kDerived attribute decodes like the document itself.
+  std::string_view absent_as = {};
+  // kUnsigned: one past the field's maximum, when that is not 2^64.
+  std::string_view past_max = kPastU64;
+  void (*absent)(R&) = nullptr;
+};
+
+std::vector<std::string> refused(Value value, std::string_view now, std::string_view past_max) {
+  const std::string word(now);
+  switch (value) {
+    case Value::kUnsigned: return {"x12", "1x", "-1", "+1", std::string(past_max), ""};
+    case Value::kSigned:
+      return {"x12", "1x", "+1", "9223372036854775808", "-9223372036854775809", ""};
+    case Value::kHex: return {"1010", "0x", "0xg", "0x-1", "-0x1", "0x10000000000000000", ""};
+    case Value::kFlag: return {"x", "-1", "+1", "2", ""};
+    case Value::kWord: return {"x", word + "x", word.substr(0, word.size() - 1), ""};
+    case Value::kText:
+    case Value::kDerived: return {};
+  }
+  return {};
+}
+
+// One attribute as serialized: ` key="value"` spans [begin, end) of the text.
+struct Site {
+  std::string element, key, value;
+  std::size_t begin, end;
+};
+
+std::vector<Site> sites_of(const std::string& document) {
+  std::vector<Site> out;
+  std::string element;
+  for (std::size_t i = document.find("?>") + 2; i + 1 < document.size(); ++i) {
+    if (document[i] == '<' && document[i + 1] != '/') {
+      element = document.substr(i + 1, document.find_first_of(" />", i) - i - 1);
+    } else if (document.compare(i, 2, "=\"") == 0) {
+      const std::size_t begin = document.rfind(' ', i);
+      const std::size_t close = document.find('"', i + 2);
+      out.push_back({element, document.substr(begin + 1, i - begin - 1),
+                     document.substr(i + 2, close - i - 2), begin, close + 1});
+      i = close;
+    }
+  }
+  return out;
+}
+
+std::string with_value(const std::string& document, const Site& site, std::string_view value) {
+  return document.substr(0, site.begin) + " " + site.key + "=\"" + std::string(value) + "\"" +
+         document.substr(site.end);
+}
+
+std::string without(const std::string& document, const Site& site) {
+  return document.substr(0, site.begin) + document.substr(site.end);
+}
+
+template <class R>
+void check_twin(const R& golden, const std::vector<TwinAttr<R>>& attrs) {
+  const std::string document = xml_of(golden);
+  const auto decoded = decode_twin<R>(document);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+  EXPECT_EQ(hex(decoded.value()), hex(canonical(golden))) << document;
+
+  const std::vector<Site> sites = sites_of(document);
+  ASSERT_FALSE(sites.empty());
+  for (const Site& site : sites) {
+    const std::string where = "<" + site.element + "> ";
+    const auto attr = std::find_if(attrs.begin(), attrs.end(), [&site](const TwinAttr<R>& a) {
+      return a.element == site.element && a.key == site.key;
+    });
+    if (attr == attrs.end()) {
+      ADD_FAILURE() << where << site.key << " is not listed";
+      continue;
+    }
+    for (const std::string& bad : refused(attr->value, site.value, attr->past_max)) {
+      EXPECT_EQ(error_of(decode_twin<R>(with_value(document, site, bad))),
+                where + "malformed attribute " + site.key + "=\"" + bad + "\"");
+    }
+    const auto absent = decode_twin<R>(without(document, site));
+    if (attr->required) {
+      EXPECT_EQ(error_of(absent), where + "missing attribute " + site.key);
+      continue;
+    }
+    ASSERT_TRUE(absent.ok()) << where << site.key << ": " << absent.error().message;
+    std::string expected = canonical(golden);
+    if (attr->absent != nullptr) {
+      R changed = golden;
+      attr->absent(changed);
+      expected = canonical(changed);
+    } else if (attr->value != Value::kDerived) {
+      const auto spelled = decode_twin<R>(with_value(document, site, attr->absent_as));
+      ASSERT_TRUE(spelled.ok()) << where << site.key << ": " << spelled.error().message;
+      expected = spelled.value();
+    }
+    EXPECT_EQ(hex(absent.value()), hex(expected)) << where << "without " << site.key;
+  }
+}
+
+// <profile> refuses a negative errno (test_profile), which HFB1 carries, so
+// the twin's record is the golden one without its errno -1 row.
+TEST(XmlTwin, Profile) {
+  profile::ProfileReport golden = golden_profile();
+  EXPECT_EQ(error_of(decode_twin<profile::ProfileReport>(xml_of(golden))),
+            "<error> malformed attribute errno=\"-1\"");
+  golden.global_errnos.erase(-1);
+  using R = profile::ProfileReport;
+  check_twin<R>(golden, {
+      {"profile", "process", Value::kText, kOptional, ""},
+      {"profile", "wrapper", Value::kText, kOptional, ""},
+      {"profile", "total_calls", Value::kDerived, kOptional},
+      {"profile", "total_cycles", Value::kDerived, kOptional},
+      {"function", "name", Value::kText, kRequired},
+      {"function", "calls", Value::kUnsigned, kRequired},
+      {"function", "cycles", Value::kUnsigned, kRequired},
+      {"function", "contained", Value::kUnsigned, kOptional, "0"},
+      {"error", "errno", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"error", "name", Value::kDerived, kOptional},
+      {"error", "count", Value::kUnsigned, kRequired},
+  });
+}
+
+TEST(XmlTwin, Dossier) {
+  using R = incident::Dossier;
+  check_twin<R>(golden_dossier(), {
+      {"dossier", "process", Value::kText, kOptional, ""},
+      {"dossier", "detector", Value::kWord, kRequired},
+      {"dossier", "symbol", Value::kText, kOptional, ""},
+      {"dossier", "seq", Value::kUnsigned, kRequired},
+      {"dossier", "tick", Value::kUnsigned, kRequired},
+      {"dossier", "cycles", Value::kUnsigned, kRequired},
+      {"dossier", "fault_addr", Value::kHex, kRequired},
+      {"arg", "value", Value::kText, kOptional, ""},
+      {"event", "seq", Value::kUnsigned, kRequired},
+      {"event", "symbol", Value::kText, kOptional, ""},
+      {"event", "tick", Value::kUnsigned, kRequired},
+      {"event", "cycles", Value::kUnsigned, kRequired},
+      {"event", "argc", Value::kUnsigned, kRequired, {}, "4294967296"},
+      {"event", "digest", Value::kHex, kRequired},
+      {"chunk", "header", Value::kHex, kRequired},
+      {"chunk", "user", Value::kHex, kRequired},
+      {"chunk", "size", Value::kUnsigned, kRequired},
+      {"chunk", "in_use", Value::kFlag, kRequired},
+      {"chunk", "suspect", Value::kFlag, kOptional, "0"},
+      {"region", "base", Value::kHex, kRequired},
+      {"region", "size", Value::kUnsigned, kRequired},
+      {"region", "perm", Value::kUnsigned, kRequired, {}, "256"},
+      {"region", "kind", Value::kText, kOptional, ""},
+      {"region", "label", Value::kText, kOptional, ""},
+      {"region", "suspect", Value::kFlag, kOptional, "0"},
+      {"repair", "seq", Value::kUnsigned, kRequired},
+      {"repair", "tick", Value::kUnsigned, kRequired},
+      {"repair", "action", Value::kWord, kRequired},
+      {"repair", "symbol", Value::kText, kOptional, ""},
+      {"repair", "addr", Value::kHex, kRequired},
+      {"repair", "requested", Value::kUnsigned, kRequired},
+      {"repair", "granted", Value::kUnsigned, kRequired},
+      {"repair", "detail", Value::kText, kOptional, ""},
+  });
+}
+
+TEST(XmlTwin, SurfaceProfile) {
+  using R = debloat::SurfaceProfile;
+  check_twin<R>(golden_surface(), {
+      {"surface-profile", "host", Value::kText, kOptional, ""},
+      {"surface-profile", "executable", Value::kText, kOptional, ""},
+      {"surface-profile", "exported", Value::kUnsigned, kRequired},
+      {"surface-profile", "reachable", Value::kUnsigned, kRequired},
+      {"surface-profile", "touched", Value::kUnsigned, kRequired},
+      {"surface-profile", "trapped", Value::kUnsigned, kRequired},
+      {"surface-profile", "resident_pages", Value::kUnsigned, kRequired},
+      {"surface-profile", "total_pages", Value::kUnsigned, kRequired},
+      {"symbol", "name", Value::kText, kRequired},
+  });
+}
+
+TEST(XmlTwin, Campaign) {
+  using R = injector::CampaignResult;
+  check_twin<R>(golden_campaign(), {
+      {"campaign", "library", Value::kText, kOptional, ""},
+      {"campaign", "seed", Value::kUnsigned, kRequired},
+      {"robust-spec", "function", Value::kText, kRequired},
+      {"robust-spec", "library", Value::kText, kOptional, ""},
+      {"robust-spec", "probes", Value::kUnsigned, kRequired},
+      {"robust-spec", "failures", Value::kUnsigned, kRequired},
+      {"robust-spec", "crashes", Value::kUnsigned, kRequired},
+      {"robust-spec", "hangs", Value::kUnsigned, kRequired},
+      {"robust-spec", "aborts", Value::kUnsigned, kRequired},
+      {"robust-spec", "skipped", Value::kWord, kOptional, {}, {},
+       [](R& c) { c.specs[1].skipped_noreturn = false; }},
+      {"arg", "index", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"arg", "ctype", Value::kText, kOptional, ""},
+      {"arg", "class", Value::kWord, kOptional, "integral"},
+      {"arg", "safe-type", Value::kDerived, kOptional},
+      {"verdict", "type", Value::kWord, kRequired},
+      {"verdict", "probes", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"verdict", "failures", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"verdict", "crashes", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"verdict", "hangs", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"verdict", "aborts", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"verdict", "first", Value::kText, kOptional, ""},
+      {"checks", "nonnull", Value::kFlag, kOptional, "0"},
+      {"checks", "mapped", Value::kFlag, kOptional, "0"},
+      {"checks", "writable", Value::kFlag, kOptional, "0"},
+      // A range has both ends or neither: alone, each end is required.
+      {"checks", "range_lo", Value::kSigned, kRequired},
+      {"checks", "range_hi", Value::kSigned, kRequired},
+  });
+}
+
+TEST(XmlTwin, CampaignRangeHasBothEndsOrNeither) {
+  injector::CampaignResult golden = golden_campaign();
+  std::string document = xml_of(golden);
+  for (const std::string_view end : {" range_lo=\"-5\"", " range_hi=\"5\""}) {
+    document.erase(document.find(end), end.size());
+  }
+  golden.specs[1].args[0].checks.range.reset();
+  const auto decoded = decode_twin<injector::CampaignResult>(document);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+  EXPECT_EQ(hex(decoded.value()), hex(canonical(golden)));
+}
+
+TEST(XmlTwin, DeriveRequest) {
+  using R = server::DeriveRequest;
+  check_twin<R>(golden_request(), {
+      {"derive-request", "endpoint", Value::kWord, kOptional, "derive"},
+      {"derive-request", "soname", Value::kText, kRequired},
+      {"derive-request", "seed", Value::kUnsigned, kOptional, "42"},
+      {"derive-request", "variants", Value::kUnsigned, kOptional, "2", kPastInt},
+      {"derive-request", "budget", Value::kUnsigned, kOptional, "2000000"},
+      {"derive-request", "heap", Value::kUnsigned, kOptional, "262144"},
+      {"derive-request", "stack", Value::kUnsigned, kOptional, "65536"},
+      {"derive-request", "format", Value::kWord, kOptional, "xml"},
+  });
+}
+
+TEST(XmlTwin, DeriveResponse) {
+  using R = server::DeriveResponse;
+  check_twin<R>(golden_response(), {
+      {"derive-response", "status", Value::kWord, kOptional, "ok"},
+      {"derive-response", "probes", Value::kUnsigned, kOptional, "0"},
+  });
+}
+
+TEST(XmlTwin, RepairPolicy) {
+  using R = gen::RepairPolicy;
+  check_twin<R>(golden_policy(), {
+      {"repair-policy", "library", Value::kText, kOptional, ""},
+      {"repair-policy", "seed", Value::kUnsigned, kRequired},
+      {"repair-policy", "rules", Value::kDerived, kOptional},
+      {"function", "name", Value::kText, kOptional, ""},
+      {"rule", "arg", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"rule", "action", Value::kWord, kRequired},
+      {"rule", "provenance", Value::kText, kOptional, ""},
+  });
+}
+
+// Values a lenient decoder used to read as something else: range_lo="zz" as
+// 0, class="pointr" as integral, probes="x12" as 0, seed="-5" as 2^64-5, and
+// clamp_arg="x" as no clamp.
+TEST(XmlTwin, GarbledValuesAreErrors) {
+  const auto garbled = [](const std::string& document, std::string_view from,
+                          std::string_view to) {
+    const std::size_t at = document.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return document.substr(0, at) + std::string(to) + document.substr(at + from.size());
+  };
+  const std::string campaign = xml_of(golden_campaign());
+  const std::string policy = xml_of(golden_policy());
+  const std::pair<std::string, std::string> cases[] = {
+      {garbled(campaign, "range_lo=\"-5\"", "range_lo=\"zz\""),
+       "<checks> malformed attribute range_lo=\"zz\""},
+      {garbled(campaign, "class=\"pointer\"", "class=\"pointr\""),
+       "<arg> malformed attribute class=\"pointr\""},
+      {garbled(campaign, "probes=\"6\"", "probes=\"x12\""),
+       "<robust-spec> malformed attribute probes=\"x12\""},
+      {garbled(campaign, "seed=\"21\"", "seed=\"-5\""),
+       "<campaign> malformed attribute seed=\"-5\""},
+  };
+  for (const auto& [document, error] : cases) {
+    EXPECT_EQ(error_of(decode_twin<injector::CampaignResult>(document)), error);
+  }
+  const std::pair<std::string, std::string> policy_cases[] = {
+      {garbled(policy, "seed=\"21\"", "seed=\"nope\""),
+       "<repair-policy> malformed attribute seed=\"nope\""},
+      {garbled(policy, "arg=\"1\"", "arg=\"-3\""), "<rule> malformed attribute arg=\"-3\""},
+      {garbled(policy, "action=", "clamp_arg=\"x\" action="),
+       "<rule> malformed attribute clamp_arg=\"x\""},
+  };
+  for (const auto& [document, error] : policy_cases) {
+    EXPECT_EQ(error_of(decode_twin<gen::RepairPolicy>(document)), error);
+  }
 }
 
 }  // namespace

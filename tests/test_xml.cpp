@@ -2,6 +2,8 @@
 // serialization shape, strict parsing, and serialize/parse round trips.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -29,15 +31,118 @@ TEST(XmlNode, AttrLookupReturnsNullWhenMissing) {
   EXPECT_EQ(*node.attr("k"), "v");
 }
 
-TEST(XmlNode, AttrIntParsesAndFallsBack) {
+TEST(XmlAttrReader, ReadsNumbersStrictly) {
   Node node("n");
   node.set_attr("good", "42");
   node.set_attr("neg", "-7");
   node.set_attr("bad", "4x2");
-  EXPECT_EQ(node.attr_int("good", 0), 42);
-  EXPECT_EQ(node.attr_int("neg", 0), -7);
-  EXPECT_EQ(node.attr_int("bad", 5), 5);
-  EXPECT_EQ(node.attr_int("missing", 9), 9);
+  int good = 0;
+  int neg = 0;
+  int missing = 9;
+  AttrReader reader(node);
+  reader.num("good", good);
+  reader.signed_num("neg", neg);
+  reader.num("missing", missing, kOptional);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  EXPECT_EQ(good, 42);
+  EXPECT_EQ(neg, -7);
+  EXPECT_EQ(missing, 9);  // an absent optional value keeps its default
+
+  const auto error = [&node](auto read) {
+    AttrReader strict(node);
+    read(strict);
+    return strict.ok() ? std::string() : strict.error().message;
+  };
+  int field = 5;
+  EXPECT_EQ(error([&](AttrReader& r) { r.num("bad", field); }), "<n> malformed attribute bad=\"4x2\"");
+  EXPECT_EQ(error([&](AttrReader& r) { r.num("neg", field); }), "<n> malformed attribute neg=\"-7\"");
+  EXPECT_EQ(error([&](AttrReader& r) { r.num("missing", field); }), "<n> missing attribute missing");
+  EXPECT_EQ(field, 5);  // a failed read leaves its field alone
+}
+
+TEST(XmlAttrReader, BoundsEachNumberByItsField) {
+  Node node("n");
+  node.set_attr("byte", "255");
+  node.set_attr("past", "256");
+  node.set_attr("low", "-128");
+  node.set_attr("below", "-129");
+  node.set_attr("empty", "");
+  std::uint8_t byte = 0;
+  std::int8_t low = 0;
+  AttrReader reader(node);
+  reader.num("byte", byte);
+  reader.signed_num("low", low);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(byte, 255);
+  EXPECT_EQ(low, -128);
+  for (const std::string_view key : {"past", "empty"}) {
+    AttrReader past(node);
+    past.num(key, byte);
+    EXPECT_FALSE(past.ok()) << key;
+  }
+  for (const std::string_view key : {"below", "empty"}) {
+    AttrReader below(node);
+    below.signed_num(key, low);
+    EXPECT_FALSE(below.ok()) << key;
+  }
+}
+
+TEST(XmlAttrReader, ReadsHexFlagsWordsAndText) {
+  Node node("n");
+  node.set_attr("addr", "0x1a2B");
+  node.set_attr("on", "1");
+  node.set_attr("kind", "beta");
+  node.set_attr("note", "");
+  enum class Kind : std::uint8_t { kAlpha, kBeta };
+  constexpr std::array<std::string_view, 2> kNames = {"alpha", "beta"};
+  std::uint64_t addr = 0;
+  bool on = false;
+  Kind kind = Kind::kAlpha;
+  std::string note = "x";
+  AttrReader reader(node);
+  reader.hex("addr", addr);
+  reader.flag("on", on);
+  reader.word("kind", kind, kNames);
+  reader.str("note", note);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  EXPECT_EQ(addr, 0x1a2bu);
+  EXPECT_TRUE(on);
+  EXPECT_EQ(kind, Kind::kBeta);
+  EXPECT_EQ(note, "");
+
+  for (const std::string_view bad : {"1a2b", "0x", "0x-1", "0xg", "0x10000000000000000", ""}) {
+    node.set_attr("addr", std::string(bad));
+    AttrReader hex(node);
+    hex.hex("addr", addr);
+    EXPECT_FALSE(hex.ok()) << bad;
+  }
+  for (const std::string_view bad : {"2", "-1", "+1", "yes", ""}) {
+    node.set_attr("on", std::string(bad));
+    AttrReader flag(node);
+    flag.flag("on", on);
+    EXPECT_FALSE(flag.ok()) << bad;
+  }
+  for (const std::string_view bad : {"Beta", "bet", ""}) {
+    node.set_attr("kind", std::string(bad));
+    AttrReader word(node);
+    word.word("kind", kind, kNames);
+    EXPECT_FALSE(word.ok()) << bad;
+  }
+}
+
+TEST(XmlAttrReader, KeepsTheFirstError) {
+  Node node("n");
+  node.set_attr("a", "x");
+  node.set_attr("c", "3");
+  int a = 1;
+  int c = 1;
+  AttrReader reader(node);
+  reader.num("a", a);
+  reader.num("b", a);
+  reader.num("c", c);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.error().message, "<n> malformed attribute a=\"x\"");
+  EXPECT_EQ(c, 1);  // reads after the first error do nothing
 }
 
 TEST(XmlNode, ChildLookupByName) {
@@ -93,7 +198,11 @@ TEST(XmlParse, SimpleDocument) {
   auto result = parse("<root a=\"1\"><child>text</child></root>");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().name(), "root");
-  EXPECT_EQ(result.value().attr_int("a", 0), 1);
+  int a = 0;
+  AttrReader attrs(result.value());
+  attrs.num("a", a);
+  EXPECT_TRUE(attrs.ok());
+  EXPECT_EQ(a, 1);
   ASSERT_NE(result.value().child("child"), nullptr);
   EXPECT_EQ(result.value().child("child")->text(), "text");
 }
