@@ -60,15 +60,6 @@ bool cow_self_check() {
 
 bool g_cow_ok = false;
 
-mem::MachineConfig testbed_machine_config() {
-  const injector::InjectorConfig defaults;
-  mem::MachineConfig machine_config;
-  machine_config.heap_size = defaults.testbed_heap;
-  machine_config.stack_size = defaults.testbed_stack;
-  machine_config.step_budget = defaults.probe_step_budget;
-  return machine_config;
-}
-
 injector::InjectorConfig config() {
   injector::InjectorConfig cfg;
   cfg.seed = 2003;
@@ -171,8 +162,8 @@ void BM_CampaignEngine(benchmark::State& state, const std::string& soname, int j
 // This is the cost fork mode pays per probe where fresh mode pays
 // BM_FreshTestbedBuild.
 void BM_StateForkReset(benchmark::State& state) {
-  const auto pristine = linker::TestbedState::build(toolkit().catalog(),
-                                                    testbed_machine_config(), "bench stdin\n");
+  const auto pristine = linker::TestbedState::build(
+      toolkit().catalog(), injector::CampaignParams{}.machine(), "bench stdin\n");
   auto shell = pristine->fork("bench-shell");
   for (auto _ : state) {
     benchmark::DoNotOptimize(shell->alloc_cstring("dirty a heap page"));
@@ -189,7 +180,7 @@ void BM_StateForkReset(benchmark::State& state) {
 void BM_FreshTestbedBuild(benchmark::State& state) {
   const linker::LibraryCatalog& catalog = toolkit().catalog();
   for (auto _ : state) {
-    linker::Process process("bench-fresh", testbed_machine_config());
+    linker::Process process("bench-fresh", injector::CampaignParams{}.machine());
     process.state().stdin_content = "bench stdin\n";
     for (const std::string& soname : catalog.sonames()) {
       process.load_library(catalog.find(soname));
@@ -205,8 +196,8 @@ void BM_FreshTestbedBuild(benchmark::State& state) {
 // duplicate). states/GB is the campaign-capacity headline: how many probe
 // states fit in a gigabyte.
 void BM_CoexistingStates(benchmark::State& state) {
-  const auto pristine = linker::TestbedState::build(toolkit().catalog(),
-                                                    testbed_machine_config(), "bench stdin\n");
+  const auto pristine = linker::TestbedState::build(
+      toolkit().catalog(), injector::CampaignParams{}.machine(), "bench stdin\n");
   auto shell = pristine->fork("bench-shell");
   std::vector<linker::Process::Snapshot> states;
   states.reserve(4096);

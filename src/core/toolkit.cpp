@@ -25,6 +25,39 @@ std::uint64_t scope_digest(const std::vector<std::string>& names) {
   return hash != 0 ? hash : 1;  // a scoped campaign never shares slot 0
 }
 
+// A memo table's whole-library entries, in key order. Scoped entries are
+// partial documents — meaningless without the executable whose closure
+// defined the scope — so they are not portable.
+template <class T>
+std::vector<CacheEntry<T>> export_memo(const std::map<CampaignKey, T>& memo) {
+  std::vector<CacheEntry<T>> out;
+  for (const auto& [key, value] : memo) {
+    if (key.scope == 0) out.push_back({key, value});
+  }
+  return out;
+}
+
+// Admits the entries whose library is installed with the same fingerprint;
+// the others could never hit.
+template <class T>
+std::size_t import_memo(const linker::LibraryCatalog& catalog, std::mutex& mutex,
+                        std::map<CampaignKey, T>& memo, std::vector<CacheEntry<T>> entries) {
+  std::size_t admitted = 0;
+  for (CacheEntry<T>& entry : entries) {
+    const simlib::SharedLibrary* lib = catalog.find(entry.key.soname);
+    if (lib == nullptr || lib->fingerprint() != entry.key.fingerprint) continue;
+    std::lock_guard lock(mutex);
+    memo.insert_or_assign(std::move(entry.key), std::move(entry.value));
+    ++admitted;
+  }
+  return admitted;
+}
+
+// The memo key of a derive of `lib` under `config`.
+CampaignKey key_of(const simlib::SharedLibrary& lib, const injector::InjectorConfig& config) {
+  return {lib.soname(), lib.fingerprint(), config, scope_digest(config.only_functions)};
+}
+
 }  // namespace
 
 Toolkit::Toolkit() {
@@ -40,11 +73,6 @@ void Toolkit::install_library(simlib::SharedLibrary lib) {
   // catalog and would fork testbeds missing the new library.
   std::lock_guard lock(cache_mutex_);
   testbed_states_.clear();
-}
-
-std::size_t Toolkit::testbed_states_cached() const noexcept {
-  std::lock_guard lock(cache_mutex_);
-  return testbed_states_.size();
 }
 
 std::vector<std::string> Toolkit::list_libraries() const { return catalog_.sonames(); }
@@ -87,9 +115,7 @@ Result<injector::CampaignResult> Toolkit::derive_robust_api(
     const std::string& soname, injector::InjectorConfig config) const {
   const simlib::SharedLibrary* lib = catalog_.find(soname);
   if (lib == nullptr) return Error("no such library: " + soname);
-  const CampaignKey key{soname,          lib->fingerprint(),       config.seed,
-                        config.variants, config.probe_step_budget, config.testbed_heap,
-                        config.testbed_stack, scope_digest(config.only_functions)};
+  const CampaignKey key = key_of(*lib, config);
   std::shared_ptr<Inflight> flight;
   bool leader = false;
   {
@@ -114,14 +140,13 @@ Result<injector::CampaignResult> Toolkit::derive_robust_api(
   // Thread the shared implication profiles through: this campaign is warmed
   // by every earlier derive, and what it learns warms the next.
   injector.set_profile_store(profiles_);
-  const TestbedKey state_key{config.probe_step_budget, config.testbed_heap,
-                             config.testbed_stack};
+  const mem::MachineConfig machine = config.machine();
   {
     // Hand the injector the cached pristine state for this machine shape, if
     // any — the campaign then skips setup entirely and forks straight from
     // the shared image.
     std::lock_guard lock(cache_mutex_);
-    const auto it = testbed_states_.find(state_key);
+    const auto it = testbed_states_.find(machine);
     if (it != testbed_states_.end()) injector.set_testbed_state(it->second);
   }
   auto campaign = injector.run_campaign(*lib);
@@ -134,7 +159,7 @@ Result<injector::CampaignResult> Toolkit::derive_robust_api(
     // Remember the pristine state the campaign built (or keep the one it
     // adopted) so the next derive — any library, any seed — reuses it.
     if (auto state = injector.testbed_state()) {
-      testbed_states_.insert_or_assign(state_key, std::move(state));
+      testbed_states_.insert_or_assign(machine, std::move(state));
     }
   }
   {
@@ -150,9 +175,7 @@ Result<gen::RepairPolicy> Toolkit::derive_repair_policy(const std::string& sonam
                                                         injector::InjectorConfig config) const {
   const simlib::SharedLibrary* lib = catalog_.find(soname);
   if (lib == nullptr) return Error("no such library: " + soname);
-  const CampaignKey key{soname,          lib->fingerprint(),       config.seed,
-                        config.variants, config.probe_step_budget, config.testbed_heap,
-                        config.testbed_stack, scope_digest(config.only_functions)};
+  const CampaignKey key = key_of(*lib, config);
   {
     std::lock_guard lock(cache_mutex_);
     const auto it = repair_cache_.find(key);
@@ -168,76 +191,21 @@ Result<gen::RepairPolicy> Toolkit::derive_repair_policy(const std::string& sonam
 }
 
 std::vector<CachedCampaign> Toolkit::export_campaigns() const {
-  std::vector<CachedCampaign> out;
   std::lock_guard lock(cache_mutex_);
-  out.reserve(campaign_cache_.size());
-  for (const auto& [key, result] : campaign_cache_) {
-    // Scoped campaigns are partial documents — meaningless without the
-    // executable whose closure defined the scope — so only whole-library
-    // entries are portable.
-    if (std::get<7>(key) != 0) continue;
-    CachedCampaign entry;
-    entry.soname = std::get<0>(key);
-    entry.fingerprint = std::get<1>(key);
-    entry.seed = std::get<2>(key);
-    entry.variants = std::get<3>(key);
-    entry.probe_step_budget = std::get<4>(key);
-    entry.testbed_heap = std::get<5>(key);
-    entry.testbed_stack = std::get<6>(key);
-    entry.result = result;
-    out.push_back(std::move(entry));
-  }
-  return out;
+  return export_memo(campaign_cache_);
 }
 
 std::size_t Toolkit::import_campaigns(std::vector<CachedCampaign> entries) const {
-  std::size_t admitted = 0;
-  for (CachedCampaign& entry : entries) {
-    const simlib::SharedLibrary* lib = catalog_.find(entry.soname);
-    if (lib == nullptr || lib->fingerprint() != entry.fingerprint) continue;
-    const CampaignKey key{entry.soname,      entry.fingerprint, entry.seed,
-                          entry.variants,    entry.probe_step_budget,
-                          entry.testbed_heap, entry.testbed_stack, 0};
-    std::lock_guard lock(cache_mutex_);
-    campaign_cache_.insert_or_assign(key, std::move(entry.result));
-    ++admitted;
-  }
-  return admitted;
+  return import_memo(catalog_, cache_mutex_, campaign_cache_, std::move(entries));
 }
 
 std::vector<CachedRepairPolicy> Toolkit::export_repair_policies() const {
-  std::vector<CachedRepairPolicy> out;
   std::lock_guard lock(cache_mutex_);
-  out.reserve(repair_cache_.size());
-  for (const auto& [key, policy] : repair_cache_) {
-    if (std::get<7>(key) != 0) continue;  // scoped: not portable (see campaigns)
-    CachedRepairPolicy entry;
-    entry.soname = std::get<0>(key);
-    entry.fingerprint = std::get<1>(key);
-    entry.seed = std::get<2>(key);
-    entry.variants = std::get<3>(key);
-    entry.probe_step_budget = std::get<4>(key);
-    entry.testbed_heap = std::get<5>(key);
-    entry.testbed_stack = std::get<6>(key);
-    entry.policy = policy;
-    out.push_back(std::move(entry));
-  }
-  return out;
+  return export_memo(repair_cache_);
 }
 
 std::size_t Toolkit::import_repair_policies(std::vector<CachedRepairPolicy> entries) const {
-  std::size_t admitted = 0;
-  for (CachedRepairPolicy& entry : entries) {
-    const simlib::SharedLibrary* lib = catalog_.find(entry.soname);
-    if (lib == nullptr || lib->fingerprint() != entry.fingerprint) continue;
-    const CampaignKey key{entry.soname,      entry.fingerprint, entry.seed,
-                          entry.variants,    entry.probe_step_budget,
-                          entry.testbed_heap, entry.testbed_stack, 0};
-    std::lock_guard lock(cache_mutex_);
-    repair_cache_.insert_or_assign(key, std::move(entry.policy));
-    ++admitted;
-  }
-  return admitted;
+  return import_memo(catalog_, cache_mutex_, repair_cache_, std::move(entries));
 }
 
 bool Toolkit::install_surface_scope(SurfaceScope scope) const {

@@ -20,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "gen/composer.hpp"
@@ -32,21 +31,36 @@
 
 namespace healers::core {
 
-// One memoized campaign with the full cache key spelled out — the portable
-// form of a derive-cache entry. The derivation server's persistent spec
-// cache serializes these, so a fresh process (or a fresh server) can answer
-// derive requests with zero probes. The fingerprint keeps entries honest:
-// an updated library hashes differently and simply never hits.
-struct CachedCampaign {
+// Everything a memoized campaign is a function of: the library's soname and
+// content fingerprint, the campaign parameters, and the surface scope — 0 for
+// a whole-library campaign, a digest of InjectorConfig::only_functions
+// otherwise. `jobs`, `snapshot_reset` and `prune` are deliberately absent:
+// the engine guarantees bit-identical results for any combination, so all
+// of them share one cache slot. The fingerprint keeps entries honest: an
+// updated library hashes differently and simply never hits.
+struct CampaignKey {
   std::string soname;
   std::uint64_t fingerprint = 0;
-  std::uint64_t seed = 0;
-  int variants = 0;
-  std::uint64_t probe_step_budget = 0;
-  std::uint64_t testbed_heap = 0;
-  std::uint64_t testbed_stack = 0;
-  injector::CampaignResult result;
+  injector::CampaignParams params;
+  std::uint64_t scope = 0;
+
+  auto operator<=>(const CampaignKey&) const = default;
 };
+
+// One memo entry with its key spelled out — the portable form the derivation
+// server's spec cache serializes (HSCE1 campaigns, HSRP1 repair policies), so
+// a fresh process can answer derive requests with zero probes. A repair
+// policy is a pure function of the campaign document (plus the library's man
+// pages), so it is valid exactly when the campaign under the same key is.
+// Scoped campaigns are partial documents and are never exported, so a cache
+// file holds whole-library entries only and does not carry the scope.
+template <class T>
+struct CacheEntry {
+  CampaignKey key;
+  T value;
+};
+using CachedCampaign = CacheEntry<injector::CampaignResult>;
+using CachedRepairPolicy = CacheEntry<gen::RepairPolicy>;
 
 // One executable's demand-driven surface scope for one library: the symbols
 // its static closure (debloat::compute_reachability) can reach there. The
@@ -60,21 +74,6 @@ struct SurfaceScope {
   std::vector<std::string> symbols;  // sorted
 
   [[nodiscard]] bool operator==(const SurfaceScope& other) const = default;
-};
-
-// One memoized repair policy with its full cache key — the HSRP1 persistent
-// form. The key is identical to CachedCampaign's: a repair policy is a pure
-// function of the campaign document (plus the library's man pages), so it is
-// valid exactly when the campaign it derives from is.
-struct CachedRepairPolicy {
-  std::string soname;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t seed = 0;
-  int variants = 0;
-  std::uint64_t probe_step_budget = 0;
-  std::uint64_t testbed_heap = 0;
-  std::uint64_t testbed_stack = 0;
-  gen::RepairPolicy policy;
 };
 
 class Toolkit {
@@ -92,12 +91,8 @@ class Toolkit {
   [[nodiscard]] Result<xml::Node> declaration_xml(const std::string& soname) const;
   // Fault-injection campaign deriving the library's robust API (Fig 2).
   //
-  // Memoized: results are cached per (soname, library fingerprint, and the
-  // config fields campaign output depends on — seed, variants, step budget,
-  // testbed sizes). `jobs` and `snapshot_reset` are deliberately NOT part of
-  // the key: the engine guarantees bit-identical results for any value of
-  // either, so all of them share one cache slot. A repeated derive therefore
-  // runs zero probes (observable via probes_executed()).
+  // Memoized under its CampaignKey: a repeated derive runs zero probes
+  // (observable via probes_executed()).
   //
   // Single-flight: when M threads race on one key, exactly one runs the
   // campaign; the others block on its completion and share the result, so
@@ -125,10 +120,6 @@ class Toolkit {
   implication_profiles() const noexcept {
     return profiles_;
   }
-
-  // Pristine testbed states currently cached for reuse across campaigns
-  // (one per distinct machine shape). Test/bench handle.
-  [[nodiscard]] std::size_t testbed_states_cached() const noexcept;
 
   // Derives the repair policy for `soname` from its (memoized) robust-API
   // campaign: derive_robust_api + gen::derive_repair_policy, memoized under
@@ -198,23 +189,6 @@ class Toolkit {
   }
 
  private:
-  // Everything a campaign's output is a function of, minus the library
-  // content itself (covered by the fingerprint). `jobs`, `snapshot_reset`
-  // and `prune` are deliberately absent: the engine guarantees bit-identical
-  // results for any combination, so all of them share one cache slot.
-  // The trailing element is the surface-scope digest: 0 for a whole-library
-  // campaign, a hash of config.only_functions otherwise. Scoped campaigns
-  // are partial documents, so they get their own slots and are never
-  // exported to the portable spec cache.
-  using CampaignKey = std::tuple<std::string,    // soname
-                                 std::uint64_t,  // SharedLibrary::fingerprint()
-                                 std::uint64_t,  // seed
-                                 int,            // variants
-                                 std::uint64_t,  // probe_step_budget
-                                 std::uint64_t,  // testbed_heap
-                                 std::uint64_t,  // testbed_stack
-                                 std::uint64_t>; // surface-scope digest
-
   // One in-flight campaign: the first thread to miss the cache runs it, any
   // thread that arrives while it runs waits here and shares the outcome
   // (including failures — they are not cached, so a later call retries).
@@ -225,16 +199,6 @@ class Toolkit {
     Result<injector::CampaignResult> outcome{Error("campaign in flight")};
   };
 
-  // A pristine TestbedState depends only on the catalog and the machine
-  // shape — not on which library a campaign probes, the seed, or variants.
-  // One cached state therefore serves every derive (and every concurrent
-  // request in the derivation server): each campaign forks O(metadata)
-  // shells from it instead of re-running setup. Invalidated wholesale by
-  // install_library (the load set changed).
-  using TestbedKey = std::tuple<std::uint64_t,   // probe_step_budget
-                                std::uint64_t,   // testbed_heap
-                                std::uint64_t>;  // testbed_stack
-
   std::vector<std::unique_ptr<simlib::SharedLibrary>> owned_;
   linker::LibraryCatalog catalog_;
 
@@ -242,7 +206,14 @@ class Toolkit {
   mutable std::map<CampaignKey, injector::CampaignResult> campaign_cache_;
   mutable std::map<CampaignKey, gen::RepairPolicy> repair_cache_;
   mutable std::map<CampaignKey, std::shared_ptr<Inflight>> inflight_;
-  mutable std::map<TestbedKey, std::shared_ptr<const linker::TestbedState>> testbed_states_;
+  // A pristine TestbedState depends only on the catalog and the machine
+  // shape — not on which library a campaign probes, the seed, or variants.
+  // One cached state therefore serves every derive (and every concurrent
+  // request in the derivation server): each campaign forks O(metadata)
+  // shells from it instead of re-running setup. Invalidated wholesale by
+  // install_library (the load set changed).
+  mutable std::map<mem::MachineConfig, std::shared_ptr<const linker::TestbedState>>
+      testbed_states_;
   // Installed surface scopes, keyed (executable, soname) — one scope per
   // executable per library, latest install wins.
   mutable std::map<std::pair<std::string, std::string>, SurfaceScope> surface_scopes_;

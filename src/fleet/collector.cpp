@@ -40,23 +40,9 @@ void FleetCollector::Arena::push(std::string_view payload) {
   ends.push_back(bytes.size());
 }
 
-void FleetCollector::Arena::drop_oldest() {
-  ++head;
-  // Once as many payloads are evicted as are still queued, move the queued
-  // ones to the front: the buffer never holds twice the queue, and each
-  // eviction pays for about one payload's move.
-  if (head < size()) return;
-  const std::size_t cut = ends[head - 1];
-  bytes.erase(0, cut);
-  ends.erase(ends.begin(), ends.begin() + static_cast<std::ptrdiff_t>(head));
-  for (std::size_t& end : ends) end -= cut;
-  head = 0;
-}
-
 void FleetCollector::Arena::clear() noexcept {
   bytes.clear();
   ends.clear();
-  head = 0;
 }
 
 bool FleetCollector::submit(std::string_view payload) {
@@ -67,8 +53,7 @@ bool FleetCollector::submit(std::string_view payload) {
   std::lock_guard lock(target.mutex);
   if (target.queue.size() >= config_.queue_capacity) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.policy == OverflowPolicy::kDropNewest) return false;
-    target.queue.drop_oldest();  // kDropOldest: shed the head, admit the tail
+    return false;
   }
   target.queue.push(payload);
   return true;
@@ -133,7 +118,7 @@ void FleetCollector::flush() {
   // land a payload in an already-claimed shard — that payload is simply
   // pending() until the next flush, never lost: the accounting identity
   // submitted == aggregated + malformed + dropped + pending holds at every
-  // quiescent point for every shard/worker/policy combination (test_sim's
+  // quiescent point for every shard/worker combination (test_sim's
   // drop-accounting matrix and test_fleet's flush-race test assert this).
   // Claiming swaps the shard's buffer with an emptied spare, so the lock
   // covers only the swap.
@@ -146,7 +131,7 @@ void FleetCollector::flush() {
       std::swap(ingest_[s]->queue, drained);
     }
     claimed.reserve(claimed.size() + drained.size());
-    for (std::size_t i = drained.head; i < drained.ends.size(); ++i) {
+    for (std::size_t i = 0; i < drained.size(); ++i) {
       claimed.push_back(drained.payload(i));
     }
   }

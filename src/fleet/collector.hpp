@@ -47,20 +47,14 @@ struct SurfaceProfile;
 
 namespace healers::fleet {
 
-// What submit() does when the target queue is full. Both policies COUNT the
-// victim in dropped(); there is no silently-blocking mode because draining
-// is explicit (flush()) and blocking producers would deadlock them.
-enum class OverflowPolicy : std::uint8_t {
-  kDropNewest,  // reject the incoming payload
-  kDropOldest,  // evict the oldest queued payload, accept the incoming one
-};
-
+// A full ingest shard drops the incoming payload and counts it in dropped();
+// there is no blocking mode because draining is explicit (flush()) and
+// blocking producers would deadlock them.
 struct CollectorConfig {
   unsigned shards = 4;              // ingest queues AND aggregation shards
   std::size_t queue_capacity = 4096;  // per ingest shard
   std::size_t batch_size = 64;        // payloads per decode task
   unsigned workers = 1;               // flush decode workers, 0 = all cores
-  OverflowPolicy policy = OverflowPolicy::kDropNewest;
 };
 
 // Commutative per-executable aggregate of surface-profile documents
@@ -82,7 +76,7 @@ struct FleetSnapshot {
   std::uint64_t submitted = 0;
   std::uint64_t aggregated = 0;  // documents folded into the totals
   std::uint64_t malformed = 0;   // documents rejected by the decoders
-  std::uint64_t dropped = 0;     // documents shed by the overflow policy
+  std::uint64_t dropped = 0;     // documents refused by a full shard
   std::uint64_t pending = 0;     // still queued (flush not yet run)
   std::map<std::string, profile::FunctionProfile> functions;
   std::map<int, std::uint64_t> global_errnos;
@@ -105,8 +99,8 @@ class FleetCollector {
   explicit FleetCollector(CollectorConfig config = {});
 
   // Enqueues a copy of one encoded document (XML or binary; not decoded
-  // here). Thread-safe. Returns false when the overflow policy shed a payload
-  // (the shed document is counted in dropped() either way).
+  // here). Thread-safe. Returns false, and counts the document in dropped(),
+  // when its shard is full.
   bool submit(std::string_view payload);
 
   // Decodes and aggregates everything queued, in batches on a thread pool
@@ -119,8 +113,7 @@ class FleetCollector {
   [[nodiscard]] std::uint64_t malformed() const noexcept { return malformed_.load(); }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_.load(); }
   [[nodiscard]] std::uint64_t pending() const;
-  // Bytes the ingest queues hold, including payloads kDropOldest evicted
-  // that a compaction has not yet removed (at most as many as are queued).
+  // Bytes the ingest queues hold.
   [[nodiscard]] std::size_t queued_bytes() const;
   [[nodiscard]] unsigned shards() const noexcept { return static_cast<unsigned>(ingest_.size()); }
   // The error of the first malformed payload since construction ("" when
@@ -134,19 +127,17 @@ class FleetCollector {
 
  private:
   // One shard's queued payloads: their bytes back to back, and where each
-  // one ends. Payloads before `head` were evicted by kDropOldest.
+  // one ends.
   struct Arena {
     std::string bytes;
     std::vector<std::size_t> ends;
-    std::size_t head = 0;
 
-    [[nodiscard]] std::size_t size() const noexcept { return ends.size() - head; }
+    [[nodiscard]] std::size_t size() const noexcept { return ends.size(); }
     [[nodiscard]] std::string_view payload(std::size_t i) const noexcept {
       const std::size_t begin = i == 0 ? 0 : ends[i - 1];
       return std::string_view(bytes).substr(begin, ends[i] - begin);
     }
     void push(std::string_view payload);
-    void drop_oldest();
     // Empties the arena and keeps its storage.
     void clear() noexcept;
   };

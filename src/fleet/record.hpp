@@ -32,6 +32,10 @@
 //   nested(x)           a whole record (magic included) inside a str
 //   xml(x)              x's XML document inside a str
 //
+// A field group several records share (the campaign parameters) declares a
+// Layout without a kKind, and each record runs it in place:
+// Layout<U>::fields(v, r.part).
+//
 // The Reader is strict: a decoded value re-encodes to exactly the bytes it
 // came from. An unknown magic, truncation, trailing bytes, an enum past its
 // last value, unknown flag bits, an integer wider than its field, keys out of

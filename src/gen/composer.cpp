@@ -23,24 +23,6 @@ void ComposedWrapper::wrap_function(const GenContext& ctx,
   entries_[ctx.proto.name] = std::move(entry);
 }
 
-bool ComposedWrapper::wraps(const std::string& symbol) const {
-  return entries_.contains(symbol);
-}
-
-std::vector<std::string> ComposedWrapper::wrapped_symbols() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [symbol, _] : entries_) out.push_back(symbol);
-  return out;
-}
-
-simlib::SimValue ComposedWrapper::call(const std::string& symbol, simlib::CallContext& ctx,
-                                       const linker::NextFn& next) {
-  auto it = entries_.find(symbol);
-  if (it == entries_.end()) return next(ctx);  // not wrapped: pass through
-  return run_entry(it->second, ctx, next);
-}
-
 const void* ComposedWrapper::symbol_handle(const std::string& symbol) const {
   const auto it = entries_.find(symbol);
   return it == entries_.end() ? nullptr : static_cast<const void*>(&it->second);

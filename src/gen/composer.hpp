@@ -30,12 +30,9 @@ class ComposedWrapper : public linker::Interposition {
   void wrap_function(const GenContext& ctx, const std::vector<MicroGeneratorPtr>& gens);
 
   [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] bool wraps(const std::string& symbol) const override;
-  simlib::SimValue call(const std::string& symbol, simlib::CallContext& ctx,
-                        const linker::NextFn& next) override;
 
-  // Dispatch fast path: the handle is the symbol's Entry (map nodes are
-  // stable), so the per-call entries_.find disappears from interposed calls.
+  // The handle is the symbol's Entry (map nodes are stable), so interposed
+  // calls do no per-call entries_.find.
   [[nodiscard]] const void* symbol_handle(const std::string& symbol) const override;
   simlib::SimValue call_with_handle(const void* handle, const std::string& symbol,
                                     simlib::CallContext& ctx,
@@ -43,7 +40,6 @@ class ComposedWrapper : public linker::Interposition {
 
   [[nodiscard]] const std::shared_ptr<WrapperStats>& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t wrapped_count() const noexcept { return entries_.size(); }
-  [[nodiscard]] std::vector<std::string> wrapped_symbols() const;
 
  private:
   struct Entry {

@@ -2,35 +2,6 @@
 
 namespace healers::incident {
 
-bool operator==(const TraceEntry& a, const TraceEntry& b) {
-  return a.seq == b.seq && a.tick == b.tick && a.cycles == b.cycles &&
-         a.arg_digest == b.arg_digest && a.argc == b.argc && a.symbol == b.symbol;
-}
-
-bool operator==(const ChunkState& a, const ChunkState& b) {
-  return a.header == b.header && a.user == b.user && a.size == b.size &&
-         a.in_use == b.in_use && a.suspect == b.suspect;
-}
-
-bool operator==(const RegionState& a, const RegionState& b) {
-  return a.base == b.base && a.size == b.size && a.perm == b.perm && a.kind == b.kind &&
-         a.label == b.label && a.suspect == b.suspect;
-}
-
-bool operator==(const RepairEvent& a, const RepairEvent& b) {
-  return a.seq == b.seq && a.tick == b.tick && a.action == b.action && a.symbol == b.symbol &&
-         a.detail == b.detail && a.fault_addr == b.fault_addr && a.requested == b.requested &&
-         a.granted == b.granted;
-}
-
-bool Dossier::operator==(const Dossier& other) const {
-  return process == other.process && detector == other.detector && symbol == other.symbol &&
-         detail == other.detail && seq == other.seq && tick == other.tick &&
-         cycles == other.cycles && fault_addr == other.fault_addr && args == other.args &&
-         trace == other.trace && heap == other.heap && heap_note == other.heap_note &&
-         regions == other.regions && repairs == other.repairs;
-}
-
 xml::Node Dossier::to_xml() const {
   xml::Node root("dossier");
   root.set_attr("process", process);

@@ -39,6 +39,8 @@ struct TraceEntry {
   std::uint64_t arg_digest = 0;  // FNV-1a over (kind, bits) of every argument
   std::uint32_t argc = 0;
   std::string symbol;
+
+  [[nodiscard]] bool operator==(const TraceEntry&) const = default;
 };
 
 // One heap chunk in the neighborhood of the implicated address.
@@ -48,6 +50,8 @@ struct ChunkState {
   std::uint64_t size = 0;
   bool in_use = false;
   bool suspect = false;  // contains the implicated address
+
+  [[nodiscard]] bool operator==(const ChunkState&) const = default;
 };
 
 // One applied repair (ISSUE 9): a repair wrapper rewrote a call instead of
@@ -62,6 +66,8 @@ struct RepairEvent {
   std::uint64_t fault_addr = 0;  // the pointer the repair is about
   std::uint64_t requested = 0;   // what the caller asked for (bytes)
   std::uint64_t granted = 0;     // what the repair allowed
+
+  [[nodiscard]] bool operator==(const RepairEvent&) const = default;
 };
 
 // One mapped region near the implicated address.
@@ -72,6 +78,8 @@ struct RegionState {
   std::string kind;       // region kind name ("heap", "stack", ...)
   std::string label;
   bool suspect = false;  // contains the implicated address
+
+  [[nodiscard]] bool operator==(const RegionState&) const = default;
 };
 
 struct Dossier {
@@ -90,7 +98,7 @@ struct Dossier {
   std::vector<RegionState> regions;
   std::vector<RepairEvent> repairs;  // repairs applied up to this dossier
 
-  [[nodiscard]] bool operator==(const Dossier& other) const;
+  [[nodiscard]] bool operator==(const Dossier&) const = default;
 
   // Self-describing XML document (<dossier> root), deterministic field and
   // child order — the byte-compare surface.
@@ -99,11 +107,6 @@ struct Dossier {
   // Human-readable post-mortem (the `healers dossier` default rendering).
   [[nodiscard]] std::string to_text() const;
 };
-
-[[nodiscard]] bool operator==(const TraceEntry& a, const TraceEntry& b);
-[[nodiscard]] bool operator==(const ChunkState& a, const ChunkState& b);
-[[nodiscard]] bool operator==(const RegionState& a, const RegionState& b);
-[[nodiscard]] bool operator==(const RepairEvent& a, const RepairEvent& b);
 
 // Strict parser for the <dossier> document (round-trips to_xml()).
 [[nodiscard]] Result<Dossier> from_xml(const xml::Node& node);

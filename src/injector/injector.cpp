@@ -89,24 +89,10 @@ const std::string& FaultInjector::probe_stdin() {
   return kInput;
 }
 
-mem::MachineConfig FaultInjector::machine_config() const noexcept {
-  mem::MachineConfig machine_config;
-  machine_config.heap_size = config_.testbed_heap;
-  machine_config.stack_size = config_.testbed_stack;
-  machine_config.step_budget = config_.probe_step_budget;
-  return machine_config;
-}
-
 void FaultInjector::set_testbed_state(
     std::shared_ptr<const linker::TestbedState> state) noexcept {
-  if (state == nullptr) return;
-  const mem::MachineConfig want = machine_config();
-  const mem::MachineConfig& got = state->config();
-  if (got.heap_size != want.heap_size || got.stack_size != want.stack_size ||
-      got.step_budget != want.step_budget) {
-    return;  // built for a different machine shape — forking it would skew results
-  }
-  state_ = std::move(state);
+  // A state built for a different machine shape would skew results.
+  if (state != nullptr && state->config() == config_.machine()) state_ = std::move(state);
 }
 
 void FaultInjector::set_profile_store(
@@ -116,7 +102,7 @@ void FaultInjector::set_profile_store(
 
 void FaultInjector::ensure_state() {
   if (!config_.snapshot_reset || state_ != nullptr) return;
-  state_ = linker::TestbedState::build(catalog_, machine_config(), probe_stdin());
+  state_ = linker::TestbedState::build(catalog_, config_.machine(), probe_stdin());
   const mem::CowStats& built = state_->build_stats();
   pages_sealed_.fetch_add(built.pages_sealed, std::memory_order_relaxed);
   pages_faulted_.fetch_add(built.pages_faulted, std::memory_order_relaxed);
@@ -132,7 +118,7 @@ std::unique_ptr<linker::Process> FaultInjector::make_bed() {
     states_forked_.fetch_add(1, std::memory_order_relaxed);
     return state_->fork("probe-testbed");
   }
-  auto bed = std::make_unique<linker::Process>("probe-testbed", machine_config());
+  auto bed = std::make_unique<linker::Process>("probe-testbed", config_.machine());
   bed->state().stdin_content = probe_stdin();
   for (const std::string& soname : catalog_.sonames()) {
     bed->load_library(catalog_.find(soname));

@@ -63,12 +63,26 @@ class ThreadPool;
 
 namespace healers::injector {
 
-struct InjectorConfig {
+// Everything a campaign's output is a function of besides the library
+// itself. The derive memo and spec-cache key, and a derive request, carry
+// exactly these; their one wire field list is in server/codec.hpp.
+struct CampaignParams {
   std::uint64_t seed = 42;
-  int variants = 2;                       // random instances of fuzzy test types
+  int variants = 2;                             // random instances of fuzzy test types
   std::uint64_t probe_step_budget = 2'000'000;  // watchdog per probe
   std::uint64_t testbed_heap = 256 << 10;
   std::uint64_t testbed_stack = 64 << 10;
+
+  auto operator<=>(const CampaignParams&) const = default;
+
+  // The machine every probe testbed (and the shared pristine state) runs on.
+  [[nodiscard]] mem::MachineConfig machine() const noexcept {
+    return {.heap_size = testbed_heap, .stack_size = testbed_stack,
+            .step_budget = probe_step_budget};
+  }
+};
+
+struct InjectorConfig : CampaignParams {
   // Restricts the campaign to these functions (the demand-driven surface
   // scope, docs/debloat.md: probe only what an executable can reach). Empty
   // probes the whole library. UNLIKE the engine knobs below, this changes
@@ -122,16 +136,12 @@ class FaultInjector {
   // learns into a private store — intra-injector warm starts still work.
   // Call before the first probe runs.
   void set_profile_store(std::shared_ptr<lattice::ImplicationProfileStore> store) noexcept;
-  [[nodiscard]] const std::shared_ptr<lattice::ImplicationProfileStore>& profile_store()
-      const noexcept {
-    return profiles_;
-  }
 
   // --- shared pristine testbed state ---------------------------------------
   // Adopts a prebuilt pristine state (e.g. the Toolkit's cached one) so this
   // campaign skips setup entirely and forks straight from the shared image.
-  // Ignored unless the state was built with this injector's exact machine
-  // config. Call before the first probe runs.
+  // Ignored unless the state was built for config.machine(). Call before the
+  // first probe runs.
   void set_testbed_state(std::shared_ptr<const linker::TestbedState> state) noexcept;
   // The pristine state this injector forks from (built lazily on the first
   // snapshot-reset probe when none was adopted); null until then. The
@@ -182,9 +192,6 @@ class FaultInjector {
     std::vector<simlib::SimValue> safe_args;
   };
 
-  // The machine config every probe process (and the shared pristine state)
-  // is built with.
-  [[nodiscard]] mem::MachineConfig machine_config() const noexcept;
   // Builds (or adopts) the shared pristine state; no-op when already set.
   void ensure_state();
   // Forks one probe shell from the pristine state (snapshot-reset mode) or

@@ -89,9 +89,9 @@ class TracingInterposition : public Interposition {
   explicit TracingInterposition(std::set<std::string>& seen) : seen_(seen) {}
 
   [[nodiscard]] std::string name() const override { return "import-tracer"; }
-  [[nodiscard]] bool wraps(const std::string&) const override { return true; }
-  simlib::SimValue call(const std::string& symbol, simlib::CallContext& ctx,
-                        const NextFn& next) override {
+  [[nodiscard]] const void* symbol_handle(const std::string&) const override { return this; }
+  simlib::SimValue call_with_handle(const void*, const std::string& symbol,
+                                    simlib::CallContext& ctx, const NextFn& next) override {
     seen_.insert(symbol);
     return next(ctx);
   }

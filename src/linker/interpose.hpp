@@ -49,35 +49,23 @@ class Interposition {
   // (e.g. "security-wrapper", "profiling-wrapper").
   [[nodiscard]] virtual std::string name() const = 0;
 
-  // True when this wrapper interposes on `symbol`. Non-wrapped symbols
-  // bypass the layer entirely — the paper's "pay only for the protection an
-  // application actually needs".
-  [[nodiscard]] virtual bool wraps(const std::string& symbol) const = 0;
-
-  // Around-advice for one call: run prefix logic, call next(ctx) zero or one
-  // times, run postfix logic, return the result. Throwing SimAbort here
-  // terminates the process (the security wrapper's response to an attack).
-  virtual simlib::SimValue call(const std::string& symbol, simlib::CallContext& ctx,
-                                const NextFn& next) = 0;
-
-  // --- dispatch fast path ---
   // The linker resolves each symbol against each wrapper once, caches the
   // returned handle in its dispatch plan, and passes it back on every call —
   // so a wrapper can locate its per-symbol state without a lookup per call.
-  // nullptr means "not wrapped here" (the layer is skipped entirely). The
-  // handle must stay valid until the wrapper is destroyed; a wrapper that
+  // nullptr means "not wrapped here": the layer is skipped entirely, the
+  // paper's "pay only for the protection an application actually needs".
+  // The handle must stay valid until the wrapper is destroyed; a wrapper that
   // gains symbols after being preloaded will not be seen by already-built
   // plans, so wrappers must be fully composed before dispatch begins (every
   // factory in this repo does so).
-  [[nodiscard]] virtual const void* symbol_handle(const std::string& symbol) const {
-    return wraps(symbol) ? static_cast<const void*>(this) : nullptr;
-  }
-  // Handle-based call. The default forwards to call(), so interpositions
-  // that don't override symbol_handle keep their exact semantics.
-  virtual simlib::SimValue call_with_handle(const void* /*handle*/, const std::string& symbol,
-                                            simlib::CallContext& ctx, const NextFn& next) {
-    return call(symbol, ctx, next);
-  }
+  [[nodiscard]] virtual const void* symbol_handle(const std::string& symbol) const = 0;
+
+  // Around-advice for one call of the symbol `handle` was returned for: run
+  // prefix logic, call next(ctx) zero or one times, run postfix logic, return
+  // the result. Throwing SimAbort here terminates the process (the security
+  // wrapper's response to an attack).
+  virtual simlib::SimValue call_with_handle(const void* handle, const std::string& symbol,
+                                            simlib::CallContext& ctx, const NextFn& next) = 0;
 };
 
 using InterpositionPtr = std::shared_ptr<Interposition>;

@@ -179,7 +179,7 @@ class Process {
   // Per-symbol dispatch plan: which preloaded wrappers interpose on the
   // symbol (with each wrapper's pre-resolved handle) and the base library
   // function. Built lazily on first call and cached, so the hot path walks
-  // a flat array instead of querying every layer's wraps() per call.
+  // a flat array instead of asking every layer's symbol_handle() per call.
   // Invalidated whenever the load set changes (load_library / preload /
   // restore). A plan also remembers the symbol's GOT slot and the code
   // address the slot held when a call through it first reached the plan

@@ -14,6 +14,7 @@
 // (the rdtsc analogue read by the profiling micro-generator, Fig 3).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -30,6 +31,8 @@ struct MachineConfig {
   std::uint64_t heap_size = 1 << 20;   // 1 MiB arena
   std::uint64_t stack_size = 64 << 10; // 64 KiB
   std::uint64_t step_budget = 10'000'000;  // SimHang beyond this many steps
+
+  auto operator<=>(const MachineConfig&) const = default;
 };
 
 class Machine {

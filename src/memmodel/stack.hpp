@@ -81,7 +81,6 @@ class Stack {
     sp_ = snap.sp;
   }
 
-  [[nodiscard]] Addr region_base() const noexcept { return region_base_; }
   [[nodiscard]] std::uint64_t region_size() const noexcept { return region_size_; }
 
  private:

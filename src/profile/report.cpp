@@ -96,14 +96,15 @@ xml::Node to_xml(const ProfileReport& report) {
 namespace {
 
 // Reads the <error errno= count=> rows under `parent` into `counts`. Each
-// errno appears once, as the encoder writes it (and as HFB1 requires); the
-// name attribute is errno_name(errno), so it is not read.
+// errno appears once, as the encoder writes it (and as HFB1 requires), and
+// may be negative, as in HFB1; the name attribute is errno_name(errno), so it
+// is not read.
 Status read_errnos(const xml::Node& parent, std::map<int, std::uint64_t>& counts) {
   for (const xml::Node* err_el : parent.children_named("error")) {
     int err = 0;
     std::uint64_t count = 0;
     xml::AttrReader row(*err_el);
-    row.num("errno", err);
+    row.signed_num("errno", err);
     row.num("count", count);
     if (!row.ok()) return row.error();
     if (!counts.emplace(err, count).second) {

@@ -9,10 +9,11 @@
 // byte-compared across worker counts.
 #pragma once
 
+#include <limits>
 #include <string>
 
 #include "fleet/record.hpp"
-#include "injector/robust_spec.hpp"
+#include "injector/injector.hpp"
 
 namespace healers::server {
 
@@ -24,6 +25,20 @@ namespace healers::server {
 }  // namespace healers::server
 
 namespace healers::fleet::record {
+
+// The campaign parameters, inline in HRQ1 requests and in the HSCE1/HSRP1
+// cache-entry key.
+template <>
+struct Layout<injector::CampaignParams> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.u64(r.seed);
+    v.u32(r.variants, std::numeric_limits<int>::max());
+    v.u64(r.probe_step_budget);
+    v.u64(r.testbed_heap);
+    v.u64(r.testbed_stack);
+  }
+};
 
 template <>
 struct Layout<injector::TypeVerdict> {

@@ -45,27 +45,20 @@ DeriveServer::Ticket DeriveServer::submit(std::string request_bytes) {
   const Ticket ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   submitted_.fetch_add(1, std::memory_order_relaxed);
   QueueShard& shard = *queues_[ticket % queues_.size()];
-  Ticket shed_ticket = 0;
+  bool shed = false;
   {
     std::lock_guard lock(shard.mutex);
     {
       std::lock_guard metrics(metrics_mutex_);
       queue_depth_.add(shard.queue.size());
     }
-    if (shard.queue.size() >= config_.queue_capacity) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.policy == AdmissionPolicy::kShedNewest) {
-        shed_ticket = ticket;
-      } else {
-        shed_ticket = shard.queue.front().ticket;  // kShedOldest: evict the head
-        shard.queue.pop_front();
-        shard.queue.push_back(Pending{ticket, std::move(request_bytes)});
-      }
-    } else {
-      shard.queue.push_back(Pending{ticket, std::move(request_bytes)});
-    }
+    shed = shard.queue.size() >= config_.queue_capacity;
+    if (!shed) shard.queue.push_back(Pending{ticket, std::move(request_bytes)});
   }
-  if (shed_ticket != 0) answer(shed_ticket, shed_response());
+  if (shed) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    answer(ticket, shed_response());
+  }
   return ticket;
 }
 

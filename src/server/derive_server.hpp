@@ -48,18 +48,12 @@
 
 namespace healers::server {
 
-// What submit() does when the target queue is full. Both policies count the
-// victim in shed() and answer its ticket with a kShed response.
-enum class AdmissionPolicy : std::uint8_t {
-  kShedNewest,  // reject the incoming request
-  kShedOldest,  // evict the oldest queued request, admit the incoming one
-};
-
+// A full queue shard sheds the incoming request: submit() counts it in
+// shed() and answers its ticket with a kShed response.
 struct ServerConfig {
   unsigned shards = 2;               // request queues (round-robin by ticket)
   std::size_t queue_capacity = 256;  // per queue shard
   unsigned workers = 1;              // drain workers, 0 = all cores
-  AdmissionPolicy policy = AdmissionPolicy::kShedNewest;
   // Scope campaigns to the toolkit's installed surface scopes (--debloat):
   // a derive for a library only probes the symbols some executable's static
   // closure can reach. Libraries with no installed scope derive unscoped.

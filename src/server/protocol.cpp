@@ -4,11 +4,7 @@ namespace healers::server {
 
 injector::InjectorConfig DeriveRequest::injector_config() const {
   injector::InjectorConfig config;
-  config.seed = seed;
-  config.variants = variants;
-  config.probe_step_budget = probe_step_budget;
-  config.testbed_heap = testbed_heap;
-  config.testbed_stack = testbed_stack;
+  static_cast<injector::CampaignParams&>(config) = *this;
   return config;
 }
 

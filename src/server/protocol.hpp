@@ -23,12 +23,12 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <string_view>
 
 #include "fleet/record.hpp"
 #include "injector/injector.hpp"
+#include "server/codec.hpp"
 #include "support/result.hpp"
 #include "xml/xml.hpp"
 
@@ -74,17 +74,12 @@ inline constexpr std::array<std::string_view, 3> kStatusNames = {"ok", "error", 
   return kBundleNames[static_cast<std::size_t>(kind)];
 }
 
-struct DeriveRequest {
+// The campaign parameters it inherits are the result-affecting knobs. Engine
+// knobs (jobs, snapshot_reset) are deliberately absent: they never change a
+// single output byte, so they are the server's business.
+struct DeriveRequest : injector::CampaignParams {
   Endpoint endpoint = Endpoint::kDerive;
   std::string soname;
-  // Result-affecting campaign knobs; defaults mirror injector::InjectorConfig.
-  // Engine knobs (jobs, snapshot_reset) are deliberately absent: they never
-  // change a single output byte, so they are the server's business.
-  std::uint64_t seed = 42;
-  int variants = 2;
-  std::uint64_t probe_step_budget = 2'000'000;
-  std::uint64_t testbed_heap = 256 << 10;
-  std::uint64_t testbed_stack = 64 << 10;
   BundleKind bundle = BundleKind::kRobustness;  // kBundle requests only
   WireFormat format = WireFormat::kXml;
 
@@ -126,11 +121,7 @@ struct Layout<server::DeriveRequest> {
   static void fields(V& v, R& r) {
     v.u32(r.endpoint, server::Endpoint::kBundle);
     v.str(r.soname);
-    v.u64(r.seed);
-    v.u32(r.variants, std::numeric_limits<int>::max());
-    v.u64(r.probe_step_budget);
-    v.u64(r.testbed_heap);
-    v.u64(r.testbed_stack);
+    Layout<injector::CampaignParams>::fields(v, r);
     if (r.endpoint == server::Endpoint::kBundle) {
       v.u32(r.bundle, server::BundleKind::kRepair);
     } else {

@@ -12,7 +12,7 @@
 // (HSCE1, nesting an HCB1 campaign), implication profiles (HSIP1), repair
 // policies (HSRP1, nesting a <repair-policy> XML document) and surface
 // scopes (HSSP1). Their layouts are the Layout field lists at the end of
-// this file; HSCE1 and HSRP1 share one seven-field key.
+// this file; HSCE1 and HSRP1 share one key, core::CampaignKey.
 //
 // Repair-policy entries (ISSUE 9) carry campaign-derived RepairPolicy
 // documents under the same key and fingerprint discipline as campaigns, so
@@ -37,7 +37,6 @@
 // counted, not fatal — old readers keep serving what they understand.
 #pragma once
 
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,30 +74,29 @@ struct CacheImage {
                                                   const std::string& path,
                                                   std::size_t* skipped_unknown = nullptr);
 
-// The key fields HSCE1 and HSRP1 entries share, in wire order: soname,
-// fingerprint and the result-affecting campaign configuration.
-template <class V, class E>
-void cache_key_fields(V& v, E& e) {
-  v.str(e.soname);
-  v.u64(e.fingerprint);
-  v.u64(e.seed);
-  v.u32(e.variants, std::numeric_limits<int>::max());
-  v.u64(e.probe_step_budget);
-  v.u64(e.testbed_heap);
-  v.u64(e.testbed_stack);
-}
-
 }  // namespace healers::server
 
 namespace healers::fleet::record {
+
+// The key HSCE1 and HSRP1 entries share. The scope is not written: only
+// whole-library entries are exported (scope 0).
+template <>
+struct Layout<core::CampaignKey> {
+  template <class V, class R>
+  static void fields(V& v, R& r) {
+    v.str(r.soname);
+    v.u64(r.fingerprint);
+    Layout<injector::CampaignParams>::fields(v, r.params);
+  }
+};
 
 template <>
 struct Layout<core::CachedCampaign> {
   static constexpr Kind kKind = Kind::kCampaignEntry;
   template <class V, class R>
   static void fields(V& v, R& r) {
-    server::cache_key_fields(v, r);
-    v.nested(r.result);
+    Layout<core::CampaignKey>::fields(v, r.key);
+    v.nested(r.value);
   }
 };
 
@@ -121,8 +119,8 @@ struct Layout<core::CachedRepairPolicy> {
   static constexpr Kind kKind = Kind::kRepairEntry;
   template <class V, class R>
   static void fields(V& v, R& r) {
-    server::cache_key_fields(v, r);
-    v.xml(r.policy);
+    Layout<core::CampaignKey>::fields(v, r.key);
+    v.xml(r.value);
   }
 };
 

@@ -30,15 +30,15 @@ using simlib::CallContext;
 using simlib::SimValue;
 
 constexpr std::uint64_t kCanarySize = 8;
+constexpr std::uint64_t kCanarySecret = 0x1dea5eedcafef00dULL;
 
 }  // namespace
 
 struct HeapGuardState {
-  std::uint64_t secret = 0;
   std::map<mem::Addr, std::uint64_t> allocations;  // user addr -> requested size
 
   [[nodiscard]] std::uint64_t canary_for(mem::Addr user) const noexcept {
-    return secret ^ (user * 0x9e3779b97f4a7c15ULL);
+    return kCanarySecret ^ (user * 0x9e3779b97f4a7c15ULL);
   }
 
   void plant(CallContext& ctx, mem::Addr user, std::uint64_t size) {
@@ -181,9 +181,7 @@ class HeapGuardHook : public gen::RuntimeHook {
 
 class HeapCanaryGen : public gen::MicroGenerator {
  public:
-  explicit HeapCanaryGen(std::uint64_t secret) : state_(std::make_shared<HeapGuardState>()) {
-    state_->secret = secret;
-  }
+  HeapCanaryGen() : state_(std::make_shared<HeapGuardState>()) {}
 
   [[nodiscard]] std::string name() const override { return "heap canary"; }
 
@@ -226,8 +224,6 @@ class HeapCanaryGen : public gen::MicroGenerator {
 
 }  // namespace
 
-gen::MicroGeneratorPtr heap_canary_gen(std::uint64_t secret) {
-  return std::make_shared<HeapCanaryGen>(secret);
-}
+gen::MicroGeneratorPtr heap_canary_gen() { return std::make_shared<HeapCanaryGen>(); }
 
 }  // namespace healers::wrappers

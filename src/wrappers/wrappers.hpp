@@ -52,11 +52,11 @@ enum class CheckSource : std::uint8_t {
     CheckSource source = CheckSource::kDerivedAndAnnotations);
 
 // --- security ---
-struct HeapGuardState;  // wrapper-private allocation table + canary secret
+struct HeapGuardState;  // wrapper-private allocation table
 
 // Heap-canary micro-generator. All hooks made from one instance share one
 // HeapGuardState (one wrapper = one protected process).
-[[nodiscard]] gen::MicroGeneratorPtr heap_canary_gen(std::uint64_t secret = 0x1dea5eedcafef00dULL);
+[[nodiscard]] gen::MicroGeneratorPtr heap_canary_gen();
 
 // Libsafe-style stack guard: bounds string writes into stack frames and
 // verifies every live return address after each wrapped call.

@@ -20,11 +20,11 @@ class TraceWrapper : public Interposition {
       : name_(std::move(name)), log_(log), only_(std::move(only)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] bool wraps(const std::string& symbol) const override {
-    return only_.empty() || symbol == only_;
+  [[nodiscard]] const void* symbol_handle(const std::string& symbol) const override {
+    return (only_.empty() || symbol == only_) ? this : nullptr;
   }
-  simlib::SimValue call(const std::string& symbol, simlib::CallContext& ctx,
-                        const NextFn& next) override {
+  simlib::SimValue call_with_handle(const void*, const std::string& symbol,
+                                    simlib::CallContext& ctx, const NextFn& next) override {
     log_.push_back(name_ + ":pre:" + symbol);
     simlib::SimValue ret = next(ctx);
     log_.push_back(name_ + ":post:" + symbol);
@@ -41,10 +41,11 @@ class TraceWrapper : public Interposition {
 class VetoWrapper : public Interposition {
  public:
   [[nodiscard]] std::string name() const override { return "veto"; }
-  [[nodiscard]] bool wraps(const std::string& symbol) const override {
-    return symbol == "strlen";
+  [[nodiscard]] const void* symbol_handle(const std::string& symbol) const override {
+    return symbol == "strlen" ? this : nullptr;
   }
-  simlib::SimValue call(const std::string&, simlib::CallContext&, const NextFn&) override {
+  simlib::SimValue call_with_handle(const void*, const std::string&, simlib::CallContext&,
+                                    const NextFn&) override {
     return simlib::SimValue::integer(-99);
   }
 };

@@ -210,7 +210,6 @@ TEST(ProfileXml, RejectsSignedGarbledAndDuplicateCounts) {
            R"(<error errno="22" count="2"/></function></profile>)",
            R"(<profile><errors><error errno="22" count="1"/><error errno="22" count="1"/>)"
            R"(</errors></profile>)",
-           R"(<profile><errors><error errno="-22" count="1"/></errors></profile>)",
        }) {
     const auto parsed = xml::parse(doc);
     ASSERT_TRUE(parsed.ok()) << doc;
@@ -222,6 +221,19 @@ TEST(ProfileXml, RejectsSignedGarbledAndDuplicateCounts) {
   collector.flush();
   EXPECT_EQ(collector.malformed(), 1u);
   EXPECT_TRUE(collector.snapshot().functions.empty());
+}
+
+// An errno is a signed int, as in the HFB1 twin: a negative one round-trips.
+TEST(ProfileXml, NegativeErrnoRoundTrips) {
+  const auto parsed =
+      xml::parse(R"(<profile><errors><error errno="-22" count="1"/></errors></profile>)");
+  ASSERT_TRUE(parsed.ok());
+  const auto report = from_xml(parsed.value());
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report.value().global_errnos, (std::map<int, std::uint64_t>{{-22, 1}}));
+  const auto again = from_xml(to_xml(report.value()));
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(again.value().global_errnos, report.value().global_errnos);
 }
 
 TEST(ProfileReportEmpty, RendersWithoutErrors) {

@@ -112,12 +112,12 @@ TEST_F(ServerFixture, CacheEntryRoundTrip) {
   const std::string payload = fleet::record::encode(exported[0]);
   const auto decoded = decode<core::CachedCampaign>(payload);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().soname, "libsimio.so.1");
-  EXPECT_EQ(decoded.value().fingerprint, exported[0].fingerprint);
-  EXPECT_EQ(decoded.value().seed, 21u);
-  EXPECT_EQ(decoded.value().variants, 1);
-  EXPECT_EQ(xml::serialize(decoded.value().result.to_xml()),
-            xml::serialize(exported[0].result.to_xml()));
+  EXPECT_EQ(decoded.value().key, exported[0].key);
+  EXPECT_EQ(decoded.value().key.soname, "libsimio.so.1");
+  EXPECT_EQ(decoded.value().key.params.seed, 21u);
+  EXPECT_EQ(decoded.value().key.params.variants, 1);
+  EXPECT_EQ(xml::serialize(decoded.value().value.to_xml()),
+            xml::serialize(exported[0].value.to_xml()));
 
   EXPECT_FALSE(decode<core::CachedCampaign>(payload.substr(0, payload.size() / 2)).ok());
   EXPECT_FALSE(decode<core::CachedCampaign>("HFB1 something else").ok());
@@ -242,18 +242,19 @@ TEST(ServerProtocol, CanonicalKeySeparatesEveryResultAffectingField) {
     return r;
   }();
   auto key = [](DeriveRequest r) { return r.canonical_key(); };
-  std::vector<DeriveRequest> variants(7, base);
+  std::vector<DeriveRequest> variants(8, base);
   variants[0].endpoint = Endpoint::kBundle;
   variants[1].soname = "libsimio.so.1";
   variants[2].seed = 43;
   variants[3].variants = 9;
   variants[4].probe_step_budget = 1;
   variants[5].testbed_heap = 1;
-  variants[6].format = WireFormat::kBinary;  // format changes the bytes served
+  variants[6].testbed_stack = 1;
+  variants[7].format = WireFormat::kBinary;  // format changes the bytes served
   std::map<std::string, int> keys;
   keys[key(base)] = 1;
   for (const auto& v : variants) ++keys[key(v)];
-  EXPECT_EQ(keys.size(), 8u) << "every field must feed the single-flight key";
+  EXPECT_EQ(keys.size(), 9u) << "every field must feed the single-flight key";
 }
 
 TEST(ServerProtocol, ResponseRoundTripsAndDecoderIsStrict) {
@@ -488,41 +489,40 @@ TEST_F(ServerFixture, BinaryRequestVariantsMustFitTheIntField) {
 }
 
 TEST_F(ServerFixture, AdmissionControlShedsAndAccountsEveryRequest) {
-  for (const AdmissionPolicy policy : {AdmissionPolicy::kShedNewest, AdmissionPolicy::kShedOldest}) {
-    ServerConfig config;
-    config.shards = 1;
-    config.queue_capacity = 2;
-    config.policy = policy;
-    DeriveServer server(toolkit, config);
+  ServerConfig config;
+  config.shards = 1;
+  config.queue_capacity = 2;
+  DeriveServer server(toolkit, config);
 
-    std::vector<DeriveServer::Ticket> tickets;
-    for (int i = 0; i < 5; ++i) {
-      tickets.push_back(server.submit(quick_request("libsimm.so.1").encode()));
-    }
-    EXPECT_EQ(server.shed(), 3u);
-    EXPECT_EQ(server.pending(), 2u);
-
-    // Shed tickets are answered immediately with a decodable kShed response.
-    std::size_t shed_seen = 0;
-    for (const auto ticket : tickets) {
-      const auto bytes = server.response(ticket);
-      if (bytes == nullptr) continue;
-      const auto response = DeriveResponse::decode(*bytes);
-      ASSERT_TRUE(response.ok());
-      EXPECT_EQ(response.value().status, ResponseStatus::kShed);
-      ++shed_seen;
-    }
-    EXPECT_EQ(shed_seen, 3u);
-    // kShedNewest keeps the two oldest; kShedOldest keeps the two newest.
-    const auto survivor = policy == AdmissionPolicy::kShedNewest ? tickets[0] : tickets[4];
-    EXPECT_EQ(server.response(survivor), nullptr) << "survivors wait for the drain";
-
-    server.drain();
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.pending, 0u);
-    EXPECT_EQ(stats.submitted, stats.answered + stats.shed) << "no silent loss";
-    EXPECT_NE(server.response(survivor), nullptr);
+  std::vector<DeriveServer::Ticket> tickets;
+  for (int i = 0; i < 5; ++i) {
+    tickets.push_back(server.submit(quick_request("libsimm.so.1").encode()));
   }
+  EXPECT_EQ(server.shed(), 3u);
+  EXPECT_EQ(server.pending(), 2u);
+
+  // Shed tickets are answered immediately with a decodable kShed response.
+  std::size_t shed_seen = 0;
+  for (const auto ticket : tickets) {
+    const auto bytes = server.response(ticket);
+    if (bytes == nullptr) continue;
+    const auto response = DeriveResponse::decode(*bytes);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.value().status, ResponseStatus::kShed);
+    ++shed_seen;
+  }
+  EXPECT_EQ(shed_seen, 3u);
+  // A full queue sheds the incoming request: the two oldest survive.
+  for (const auto survivor : {tickets[0], tickets[1]}) {
+    EXPECT_EQ(server.response(survivor), nullptr) << "survivors wait for the drain";
+  }
+
+  server.drain();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.submitted, stats.answered + stats.shed) << "no silent loss";
+  EXPECT_NE(server.response(tickets[0]), nullptr);
+  EXPECT_NE(server.response(tickets[1]), nullptr);
 }
 
 // Burst sheds at fleet scale (ISSUE 7): every shed ticket must hold a real
@@ -530,35 +530,31 @@ TEST_F(ServerFixture, AdmissionControlShedsAndAccountsEveryRequest) {
 // apart — and since all shed envelopes are byte-identical, they share ONE
 // immutable blob (a million-victim burst allocates no per-victim response).
 TEST_F(ServerFixture, BurstShedsShareOneResponseBlob) {
-  for (const AdmissionPolicy policy :
-       {AdmissionPolicy::kShedNewest, AdmissionPolicy::kShedOldest}) {
-    ServerConfig config;
-    config.shards = 1;
-    config.queue_capacity = 1;
-    config.policy = policy;
-    DeriveServer server(toolkit, config);
+  ServerConfig config;
+  config.shards = 1;
+  config.queue_capacity = 1;
+  DeriveServer server(toolkit, config);
 
-    std::vector<DeriveServer::Ticket> tickets;
-    for (int i = 0; i < 32; ++i) {
-      tickets.push_back(server.submit(quick_request("libsimm.so.1").encode()));
-    }
-    EXPECT_EQ(server.shed(), 31u);
-    server.drain();
-
-    std::size_t shed_delivered = 0;
-    const std::string* shed_blob = nullptr;
-    for (const auto ticket : tickets) {
-      const auto bytes = server.response(ticket);
-      ASSERT_NE(bytes, nullptr) << "every ticket is answered";
-      const auto response = DeriveResponse::decode(*bytes);
-      ASSERT_TRUE(response.ok());
-      if (response.value().status != ResponseStatus::kShed) continue;
-      ++shed_delivered;
-      if (shed_blob == nullptr) shed_blob = bytes.get();
-      EXPECT_EQ(bytes.get(), shed_blob) << "shed responses share one blob";
-    }
-    EXPECT_EQ(shed_delivered, server.shed());
+  std::vector<DeriveServer::Ticket> tickets;
+  for (int i = 0; i < 32; ++i) {
+    tickets.push_back(server.submit(quick_request("libsimm.so.1").encode()));
   }
+  EXPECT_EQ(server.shed(), 31u);
+  server.drain();
+
+  std::size_t shed_delivered = 0;
+  const std::string* shed_blob = nullptr;
+  for (const auto ticket : tickets) {
+    const auto bytes = server.response(ticket);
+    ASSERT_NE(bytes, nullptr) << "every ticket is answered";
+    const auto response = DeriveResponse::decode(*bytes);
+    ASSERT_TRUE(response.ok());
+    if (response.value().status != ResponseStatus::kShed) continue;
+    ++shed_delivered;
+    if (shed_blob == nullptr) shed_blob = bytes.get();
+    EXPECT_EQ(bytes.get(), shed_blob) << "shed responses share one blob";
+  }
+  EXPECT_EQ(shed_delivered, server.shed());
 }
 
 TEST_F(ServerFixture, TakeResponseBoundsTheResponseTable) {

@@ -1,9 +1,8 @@
 // Virtual-time fleet simulator tests (ISSUE 7): the discrete-event engine,
 // the traffic models, and the FleetSim end-to-end determinism guarantees —
 // byte-identical global summaries across --jobs 1/4/16 and any sim shard
-// count, collector drop accounting under every shard/worker/policy
-// combination the sim can produce, and shed responses actually delivered
-// under bursts for both admission policies.
+// count, collector drop accounting under every shard/worker combination
+// the sim can produce, and shed responses actually delivered under bursts.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -187,33 +186,28 @@ TEST(FleetSimTest, TrafficFlagShapesTheEmissions) {
 TEST(FleetSimTest, DropAccountingIdentityAcrossCollectorConfigs) {
   for (const unsigned shards : {1u, 3u}) {
     for (const unsigned workers : {1u, 4u}) {
-      for (const auto policy :
-           {fleet::OverflowPolicy::kDropNewest, fleet::OverflowPolicy::kDropOldest}) {
-        SimConfig config = small_config();
-        config.hosts = 240;
-        config.virtual_seconds = 20;
-        config.collector.shards = shards;
-        config.collector.workers = workers;
-        config.collector.policy = policy;
-        config.collector.queue_capacity = 8;  // force the overflow path
-        FleetSim simulation(shared_toolkit(), config);
-        const SimStats stats = simulation.run();
-        const auto& collector = simulation.collector();
+      SimConfig config = small_config();
+      config.hosts = 240;
+      config.virtual_seconds = 20;
+      config.collector.shards = shards;
+      config.collector.workers = workers;
+      config.collector.queue_capacity = 8;  // force the overflow path
+      FleetSim simulation(shared_toolkit(), config);
+      const SimStats stats = simulation.run();
+      const auto& collector = simulation.collector();
 
-        const std::string what = "shards=" + std::to_string(shards) +
-                                 " workers=" + std::to_string(workers) +
-                                 " policy=" + std::to_string(static_cast<int>(policy));
-        // Every emitted document reached submit()...
-        EXPECT_EQ(collector.submitted(), stats.profile_docs + stats.dossier_docs) << what;
-        // ...and every submitted document is accounted exactly once:
-        // dropped + ingested == emitted, with nothing pending at quiescence.
-        EXPECT_EQ(collector.submitted(), collector.aggregated() + collector.malformed() +
-                                             collector.dropped() + collector.pending())
-            << what;
-        EXPECT_EQ(collector.malformed(), 0u) << collector.first_error();
-        EXPECT_EQ(collector.pending(), 0u) << what;
-        EXPECT_GT(collector.dropped(), 0u) << what;  // the capacity squeeze worked
-      }
+      const std::string what =
+          "shards=" + std::to_string(shards) + " workers=" + std::to_string(workers);
+      // Every emitted document reached submit()...
+      EXPECT_EQ(collector.submitted(), stats.profile_docs + stats.dossier_docs) << what;
+      // ...and every submitted document is accounted exactly once:
+      // dropped + ingested == emitted, with nothing pending at quiescence.
+      EXPECT_EQ(collector.submitted(), collector.aggregated() + collector.malformed() +
+                                           collector.dropped() + collector.pending())
+          << what;
+      EXPECT_EQ(collector.malformed(), 0u) << collector.first_error();
+      EXPECT_EQ(collector.pending(), 0u) << what;
+      EXPECT_GT(collector.dropped(), 0u) << what;  // the capacity squeeze worked
     }
   }
 }
@@ -221,35 +215,27 @@ TEST(FleetSimTest, DropAccountingIdentityAcrossCollectorConfigs) {
 // --- satellite: shed responses actually delivered under burst --------------
 
 TEST(FleetSimTest, BurstShedsAreCountedAndDelivered) {
-  for (const auto policy :
-       {server::AdmissionPolicy::kShedNewest, server::AdmissionPolicy::kShedOldest}) {
-    SimConfig config = small_config();
-    config.hosts = 120;
-    config.virtual_seconds = 20;
-    config.traffic = TrafficModel::kCrashLoop;  // derive-heavy traffic
-    config.server.shards = 1;
-    config.server.queue_capacity = 1;  // every same-window pair sheds
-    config.server.policy = policy;
-    FleetSim simulation(shared_toolkit(), config);
-    const SimStats stats = simulation.run();
-    const auto server_stats = simulation.server().stats();
+  SimConfig config = small_config();
+  config.hosts = 120;
+  config.virtual_seconds = 20;
+  config.traffic = TrafficModel::kCrashLoop;  // derive-heavy traffic
+  config.server.shards = 1;
+  config.server.queue_capacity = 1;  // every same-window pair sheds
+  FleetSim simulation(shared_toolkit(), config);
+  const SimStats stats = simulation.run();
+  const auto server_stats = simulation.server().stats();
 
-    const std::string what =
-        policy == server::AdmissionPolicy::kShedNewest ? "kShedNewest" : "kShedOldest";
-    EXPECT_GT(server_stats.shed, 0u) << what;
-    // Counted sheds == tickets that actually received a kShed response; no
-    // request ends the run unanswered or double-counted.
-    EXPECT_EQ(stats.responses_shed, server_stats.shed) << what;
-    EXPECT_EQ(stats.responses_ok + stats.responses_error + stats.responses_shed,
-              stats.derive_requests)
-        << what;
-    EXPECT_EQ(server_stats.submitted, stats.derive_requests) << what;
-    EXPECT_EQ(server_stats.submitted,
-              server_stats.answered + server_stats.shed + server_stats.pending)
-        << what;
-    EXPECT_EQ(server_stats.pending, 0u) << what;
-    EXPECT_EQ(stats.responses_error, 0u) << what;
-  }
+  EXPECT_GT(server_stats.shed, 0u);
+  // Counted sheds == tickets that actually received a kShed response; no
+  // request ends the run unanswered or double-counted.
+  EXPECT_EQ(stats.responses_shed, server_stats.shed);
+  EXPECT_EQ(stats.responses_ok + stats.responses_error + stats.responses_shed,
+            stats.derive_requests);
+  EXPECT_EQ(server_stats.submitted, stats.derive_requests);
+  EXPECT_EQ(server_stats.submitted,
+            server_stats.answered + server_stats.shed + server_stats.pending);
+  EXPECT_EQ(server_stats.pending, 0u);
+  EXPECT_EQ(stats.responses_error, 0u);
 }
 
 // --- take_response ---------------------------------------------------------

@@ -214,6 +214,33 @@ TEST_F(ToolkitFixture, RepeatedDeriveHitsMemoAndExecutesNoProbes) {
   EXPECT_EQ(toolkit.probes_executed(), after_first);
 }
 
+// Every campaign parameter feeds the memo key: after a warm derive, changing
+// any one of them runs a campaign, and changing it back runs no probe.
+TEST_F(ToolkitFixture, EachCampaignParamHasItsOwnMemoSlot) {
+  ASSERT_TRUE(toolkit.derive_robust_api("libsimm.so.1", config).ok());
+  struct Change {
+    const char* param;
+    void (*apply)(injector::InjectorConfig&);
+  };
+  const Change changes[] = {
+      {"seed", [](injector::InjectorConfig& c) { c.seed += 1; }},
+      {"variants", [](injector::InjectorConfig& c) { c.variants += 1; }},
+      {"probe_step_budget", [](injector::InjectorConfig& c) { c.probe_step_budget *= 2; }},
+      {"testbed_heap", [](injector::InjectorConfig& c) { c.testbed_heap *= 2; }},
+      {"testbed_stack", [](injector::InjectorConfig& c) { c.testbed_stack *= 2; }},
+  };
+  for (const Change& change : changes) {
+    injector::InjectorConfig changed = config;
+    change.apply(changed);
+    const std::uint64_t warm = toolkit.probes_executed();
+    ASSERT_TRUE(toolkit.derive_robust_api("libsimm.so.1", changed).ok()) << change.param;
+    EXPECT_GT(toolkit.probes_executed(), warm) << change.param << " must miss the memo";
+    const std::uint64_t missed = toolkit.probes_executed();
+    ASSERT_TRUE(toolkit.derive_robust_api("libsimm.so.1", config).ok()) << change.param;
+    EXPECT_EQ(toolkit.probes_executed(), missed) << change.param << " back must hit";
+  }
+}
+
 // The satellite stress test: cache_mutex_ alone would serialize campaigns but
 // still run M of them back to back. Single-flight means M threads racing on
 // one cold key charge the toolkit exactly ONE campaign's probes.
@@ -256,7 +283,7 @@ TEST_F(ToolkitFixture, ExportImportCampaignsMovesMemoBetweenToolkits) {
   EXPECT_EQ(fresh.probes_executed(), 0u);
 
   // A corrupted fingerprint can never hit, so import refuses it.
-  exported[0].fingerprint ^= 1;
+  exported[0].key.fingerprint ^= 1;
   Toolkit skeptical;
   EXPECT_EQ(skeptical.import_campaigns(exported), 1u);
 }

@@ -364,32 +364,21 @@ void install_golden_entries(const core::Toolkit& toolkit) {
   const std::uint64_t fingerprint = toolkit.export_surface_scopes().front().fingerprint;
   ASSERT_EQ(fingerprint, kLibsimmFingerprint) << "libsimm.so.1 changed: re-pin the cache goldens";
 
-  core::CachedCampaign campaign;
-  campaign.soname = "libsimm.so.1";
-  campaign.fingerprint = fingerprint;
-  campaign.seed = 21;
-  campaign.variants = 1;
-  campaign.probe_step_budget = 1000;
-  campaign.testbed_heap = 4096;
-  campaign.testbed_stack = 1024;
-  campaign.result = golden_campaign();
-  ASSERT_EQ(toolkit.import_campaigns({campaign}), 1u);
-
-  core::CachedRepairPolicy repair;
-  repair.soname = campaign.soname;
-  repair.fingerprint = campaign.fingerprint;
-  repair.seed = campaign.seed;
-  repair.variants = campaign.variants;
-  repair.probe_step_budget = campaign.probe_step_budget;
-  repair.testbed_heap = campaign.testbed_heap;
-  repair.testbed_stack = campaign.testbed_stack;
-  repair.policy = golden_policy();
-  ASSERT_EQ(toolkit.import_repair_policies({repair}), 1u);
+  core::CampaignKey key;
+  key.soname = "libsimm.so.1";
+  key.fingerprint = fingerprint;
+  key.params.seed = 21;
+  key.params.variants = 1;
+  key.params.probe_step_budget = 1000;
+  key.params.testbed_heap = 4096;
+  key.params.testbed_stack = 1024;
+  ASSERT_EQ(toolkit.import_campaigns({{key, golden_campaign()}}), 1u);
+  ASSERT_EQ(toolkit.import_repair_policies({{key, golden_policy()}}), 1u);
 
   toolkit.implication_profiles()->import_profiles({golden_signature_profile()});
 }
 
-// The seven-field key HSCE1 and HSRP1 entries share.
+// The key HSCE1 and HSRP1 entries share.
 const std::string kCacheKey = bytes(
     "0c000000 'libsimm.so.1'"
     "645e0a806f167d7d"                    // fingerprint
@@ -755,14 +744,14 @@ void grow(server::DeriveResponse& r) {
   r.payload = std::string(64, 'p');
 }
 void grow(core::CachedCampaign& e) {
-  e.soname += ".larger";
-  grow(e.result);
+  e.key.soname += ".larger";
+  grow(e.value);
 }
 void grow(lattice::SignatureProfile& p) {
   p.signature += " *";
   p.passes.fill(9);
 }
-void grow(core::CachedRepairPolicy& e) { e.soname += ".larger"; }
+void grow(core::CachedRepairPolicy& e) { e.key.soname += ".larger"; }
 void grow(core::SurfaceScope& s) {
   s.executable += "-x";
   s.symbols.push_back("sin");
@@ -937,7 +926,8 @@ enum class Value {
   kText,      // any text
   kDerived,   // text or a number the encoder computes from other fields; kept only as checked
   kUnsigned,  // decimal digits
-  kSigned,    // decimal, may start with '-'; every signed field is 64 bits
+  kSigned,    // decimal, may start with '-', 64 bits
+  kSignedInt, // decimal, may start with '-', 32 bits
   kHex,       // "0x" and hex digits
   kFlag,      // "0" or "1"
   kWord,      // one of an enum's words
@@ -969,6 +959,7 @@ std::vector<std::string> refused(Value value, std::string_view now, std::string_
     case Value::kUnsigned: return {"x12", "1x", "-1", "+1", std::string(past_max), ""};
     case Value::kSigned:
       return {"x12", "1x", "+1", "9223372036854775808", "-9223372036854775809", ""};
+    case Value::kSignedInt: return {"x12", "1x", "+1", "2147483648", "-2147483649", ""};
     case Value::kHex: return {"1010", "0x", "0xg", "0x-1", "-0x1", "0x10000000000000000", ""};
     case Value::kFlag: return {"x", "-1", "+1", "2", ""};
     case Value::kWord: return {"x", word + "x", word.substr(0, word.size() - 1), ""};
@@ -1052,15 +1043,9 @@ void check_twin(const R& golden, const std::vector<TwinAttr<R>>& attrs) {
   }
 }
 
-// <profile> refuses a negative errno (test_profile), which HFB1 carries, so
-// the twin's record is the golden one without its errno -1 row.
 TEST(XmlTwin, Profile) {
-  profile::ProfileReport golden = golden_profile();
-  EXPECT_EQ(error_of(decode_twin<profile::ProfileReport>(xml_of(golden))),
-            "<error> malformed attribute errno=\"-1\"");
-  golden.global_errnos.erase(-1);
   using R = profile::ProfileReport;
-  check_twin<R>(golden, {
+  check_twin<R>(golden_profile(), {
       {"profile", "process", Value::kText, kOptional, ""},
       {"profile", "wrapper", Value::kText, kOptional, ""},
       {"profile", "total_calls", Value::kDerived, kOptional},
@@ -1069,7 +1054,7 @@ TEST(XmlTwin, Profile) {
       {"function", "calls", Value::kUnsigned, kRequired},
       {"function", "cycles", Value::kUnsigned, kRequired},
       {"function", "contained", Value::kUnsigned, kOptional, "0"},
-      {"error", "errno", Value::kUnsigned, kRequired, {}, kPastInt},
+      {"error", "errno", Value::kSignedInt, kRequired},
       {"error", "name", Value::kDerived, kOptional},
       {"error", "count", Value::kUnsigned, kRequired},
   });

@@ -235,7 +235,9 @@ Result<injector::CampaignResult> load_campaign(const std::string& path) {
   if (!text.ok()) return text.error();
   auto doc = xml::parse(text.value());
   if (!doc.ok()) return Error(path + ": " + doc.error().message);
-  return injector::CampaignResult::from_xml(doc.value());
+  auto campaign = injector::CampaignResult::from_xml(doc.value());
+  if (!campaign.ok()) return Error(path + ": " + campaign.error().message);
+  return campaign;
 }
 
 // Imports the persistent spec cache when one is named and the file exists; a
@@ -823,12 +825,13 @@ struct Serve {
     // executed/implied split — so stderr only, never the byte-compared summary.
     std::fprintf(stderr, "probes executed this run: %llu\n", ull(toolkit.probes_executed()));
     for (const core::CachedCampaign& entry : toolkit.export_campaigns()) {
-      const injector::CampaignEngineStats& engine = entry.result.engine;
+      const injector::CampaignEngineStats& engine = entry.value.engine;
       if (engine.args_probed == 0) continue;  // imported from cache: no engine run
       std::fprintf(stderr,
                    "prune %s: %llu implied / %llu executed (hit rate %.1f%%), "
                    "warm-start %.1f%%\n",
-                   entry.soname.c_str(), ull(engine.probes_implied), ull(engine.probes_executed),
+                   entry.key.soname.c_str(), ull(engine.probes_implied),
+                   ull(engine.probes_executed),
                    engine.implication_hit_rate() * 100.0, engine.warm_start_ratio() * 100.0);
     }
     if (stats) {
@@ -837,7 +840,7 @@ struct Serve {
       // whether --repair bundles were in the rotation.
       const auto policies = toolkit.export_repair_policies();
       RuleCensus census;
-      for (const core::CachedRepairPolicy& entry : policies) census.add(entry.policy);
+      for (const core::CachedRepairPolicy& entry : policies) census.add(entry.value);
       std::fprintf(stderr,
                    "repair: %zu policy(ies) derived, %zu rule(s): %zu truncate, "
                    "%zu substitute, %zu safe-return\n",
