@@ -175,6 +175,48 @@ void BM_StateForkReset(benchmark::State& state) {
   state.counters["cow_states"] = g_cow_ok ? 1 : 0;
 }
 
+// One probe of each kind in isolation: a supervised call on a forked
+// libsimc shell, rewound onto its base snapshot before every call exactly
+// as the campaign engine rewinds a worker's bed. Timed on the wall clock.
+// The pass row is the cheap probe pruning removes; the crash rows are the
+// failing probes every campaign executes (DESIGN.md, "Subsumption pruning"),
+// so crash/pass is what a failing probe costs against a passing one. The
+// crashes_unwound counter is 0 when each crash was latched and returned.
+using ProbeArgs = std::vector<simlib::SimValue> (*)(linker::Process&);
+
+std::vector<simlib::SimValue> valid_string_arg(linker::Process& p) {
+  return {simlib::SimValue::ptr(p.rodata_cstring("a probe string"))};
+}
+std::vector<simlib::SimValue> null_arg(linker::Process&) { return {simlib::SimValue::null()}; }
+std::vector<simlib::SimValue> wild_arg(linker::Process&) {
+  return {simlib::SimValue::ptr(0x1234)};
+}
+std::vector<simlib::SimValue> non_file_args(linker::Process& p) {
+  return {simlib::SimValue::ptr(p.rodata_cstring("a probe string")),
+          simlib::SimValue::ptr(p.alloc_cstring("not a FILE object"))};
+}
+
+void BM_ProbeKind(benchmark::State& state, const char* symbol, ProbeArgs make_args,
+                  bool crashes) {
+  const auto pristine = linker::TestbedState::build(
+      toolkit().catalog(), injector::CampaignParams{}.machine(),
+      injector::FaultInjector::probe_stdin());
+  auto shell = pristine->fork("bench-probe");
+  const std::vector<simlib::SimValue> args = make_args(*shell);
+  const linker::Process::Snapshot base = shell->snapshot();
+  const linker::CallOutcome first = shell->supervised_call(symbol, args);
+  if (first.robustness_failure() != crashes) {
+    state.SkipWithError(("unexpected outcome: " + first.to_string()).c_str());
+    return;
+  }
+  const std::uint64_t unwound_before = shell->crashes_unwound();
+  for (auto _ : state) {
+    shell->restore(base);
+    benchmark::DoNotOptimize(shell->supervised_call(symbol, args).kind);
+  }
+  state.counters["crashes_unwound"] = static_cast<double>(shell->crashes_unwound() - unwound_before);
+}
+
 // The fresh-mode per-probe cost: construct a process and load the whole
 // catalog from scratch — what every probe paid before testbed states forked.
 void BM_FreshTestbedBuild(benchmark::State& state) {
@@ -337,6 +379,21 @@ BENCHMARK_CAPTURE(BM_CampaignEngine, libsimio_pruned_fork_jobs1, "libsimio.so.1"
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimm_pruned_fork_jobs1, "libsimm.so.1", 1, true, true)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProbeKind, pass_strlen, "strlen", valid_string_arg, false)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ProbeKind, crash_strlen_null, "strlen", null_arg, true)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ProbeKind, crash_strlen_wild, "strlen", wild_arg, true)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ProbeKind, crash_atoi_null, "atoi", null_arg, true)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ProbeKind, crash_fputs_non_file, "fputs", non_file_args, true)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StateForkReset)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FreshTestbedBuild)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CoexistingStates)->Iterations(2048)->Unit(benchmark::kMicrosecond);

@@ -132,6 +132,7 @@ void FaultInjector::harvest(const linker::Process& bed) noexcept {
   pages_faulted_.fetch_add(stats.pages_faulted, std::memory_order_relaxed);
   pages_privatized_.fetch_add(stats.pages_privatized, std::memory_order_relaxed);
   pages_dropped_.fetch_add(stats.pages_dropped, std::memory_order_relaxed);
+  crashes_unwound_.fetch_add(bed.crashes_unwound(), std::memory_order_relaxed);
 }
 
 CampaignEngineStats FaultInjector::engine_stats() const noexcept {
@@ -148,6 +149,7 @@ CampaignEngineStats FaultInjector::engine_stats() const noexcept {
   stats.memo_case_hits = memo_hits_.load(std::memory_order_relaxed);
   stats.args_probed = args_probed_.load(std::memory_order_relaxed);
   stats.args_warm_ordered = args_warm_.load(std::memory_order_relaxed);
+  stats.crashes_unwound = crashes_unwound_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -240,8 +242,10 @@ FaultInjector::TypeOutput FaultInjector::run_type(
   // Pointer cases fabricate testbed state, so every probe re-enumerates the
   // type's whole case list on a freshly based bed (identical each time —
   // the Rng is seeded at case_index 0) and injects case `i`. Bed state at
-  // call time therefore includes every case's fabrication, uniformly.
-  for (std::size_t case_index = 0;; ++case_index) {
+  // call time therefore includes every case's fabrication, uniformly. The
+  // first fabrication proves the list is `expected` long, which bounds the
+  // loop.
+  for (std::size_t case_index = 0; case_index < expected; ++case_index) {
     bed_to_base(wb, lib, task);
     Rng rng(probe_seed(config_.seed, task.fn_hash, task.arg_index, id, 0));
     lattice::ValueFactory factory(*wb.bed, rng);
@@ -250,7 +254,6 @@ FaultInjector::TypeOutput FaultInjector::run_type(
       throw std::logic_error("run_type: case_count(" + lattice::to_string(id) +
                              ") disagrees with fabrication");
     }
-    if (case_index >= cases.size()) break;
     std::vector<simlib::SimValue> args = wb.safe_args;
     args[task.arg_index] = cases[case_index].value;
     probes_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -627,6 +630,7 @@ Result<CampaignResult> FaultInjector::run_campaign(
   result.engine.memo_case_hits = after.memo_case_hits - before.memo_case_hits;
   result.engine.args_probed = after.args_probed - before.args_probed;
   result.engine.args_warm_ordered = after.args_warm_ordered - before.args_warm_ordered;
+  result.engine.crashes_unwound = after.crashes_unwound - before.crashes_unwound;
   return result;
 }
 

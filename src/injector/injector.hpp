@@ -197,8 +197,9 @@ class FaultInjector {
   // Forks one probe shell from the pristine state (snapshot-reset mode) or
   // constructs a fresh full process (fresh mode).
   [[nodiscard]] std::unique_ptr<linker::Process> make_bed();
-  // Folds a retiring bed's COW counters into the engine totals. Every bed
-  // must be harvested exactly once, just before it is destroyed or rebuilt.
+  // Folds a retiring bed's COW and crash counters into the engine totals.
+  // Every bed must be harvested exactly once, just before it is destroyed or
+  // rebuilt.
   void harvest(const linker::Process& bed) noexcept;
 
   // Rebuilds `wb` to the per-function base: every argument at its safe value
@@ -262,6 +263,7 @@ class FaultInjector {
   std::atomic<std::uint64_t> pages_faulted_{0};
   std::atomic<std::uint64_t> pages_privatized_{0};
   std::atomic<std::uint64_t> pages_dropped_{0};
+  std::atomic<std::uint64_t> crashes_unwound_{0};
 
   std::unique_ptr<support::ThreadPool> pool_;  // created on first parallel run
 };

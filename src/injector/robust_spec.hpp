@@ -125,6 +125,8 @@ struct CampaignEngineStats {
   std::uint64_t memo_case_hits = 0;    // integral cases answered by the value memo
   std::uint64_t args_probed = 0;       // argument walks run
   std::uint64_t args_warm_ordered = 0;  // ... ordered by a learned signature profile
+  std::uint64_t crashes_unwound = 0;   // crashing probes whose fault still threw
+                                       // (not in to_xml: a fault-site audit)
 
   // probes_implied / (probes_executed + probes_implied); 0 when idle.
   [[nodiscard]] double implication_hit_rate() const noexcept;

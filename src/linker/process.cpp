@@ -131,7 +131,9 @@ simlib::SimValue Process::run_plan(const DispatchPlan& plan, std::size_t layer,
       // a running process this is the closest analogue of a PLT failure.
       throw AccessFault(FaultKind::kSegv, 0, "unresolved symbol " + symbol);
     }
-    return plan.base->fn(ctx);
+    simlib::SimValue ret = plan.base->fn(ctx);
+    if (layer != 0 && machine_.faulted()) machine_.mem().raise_fault();
+    return ret;
   }
   // `frame` is the named local NextFn references; it lives for the whole
   // wrapper call, satisfying the function_ref lifetime contract.
@@ -150,6 +152,13 @@ simlib::SimValue Process::run_plan(const DispatchPlan& plan, std::size_t layer,
 }
 
 simlib::SimValue Process::call(const std::string& symbol, std::vector<simlib::SimValue> args) {
+  simlib::SimValue ret = dispatch(symbol, std::move(args));
+  if (machine_.faulted()) machine_.mem().raise_fault();
+  return ret;
+}
+
+simlib::SimValue Process::dispatch(const std::string& symbol,
+                                   std::vector<simlib::SimValue>&& args) {
   // The GOT hop: validates that the slot still points at real code. An
   // attacker-rewritten slot raises ControlFlowHijack here — *before* any
   // wrapper or library code runs, like a hijacked PLT jump. A plan that
@@ -197,8 +206,8 @@ simlib::SimValue Process::call(const std::string& symbol, std::vector<simlib::Si
     plan = &resolved;
     target = &callee;
   }
-  // Dispatch stays in this frame: a crash in the library unwinds every frame
-  // up to the supervising catch, and a campaign reaps hundreds of crashes.
+  // Dispatch stays in this frame: a crash that still throws unwinds every
+  // frame up to the supervising catch.
   ++calls_dispatched_;
   // Flight-recorder feed: host-side bookkeeping only, so the branch is the
   // entire fast-path cost when no recorder is attached (and the recorder
@@ -208,19 +217,25 @@ simlib::SimValue Process::call(const std::string& symbol, std::vector<simlib::Si
   return run_plan(*plan, 0, *target, ctx);
 }
 
-CallOutcome Process::supervised_call(const std::string& symbol,
-                                     std::vector<simlib::SimValue> args) {
+void Process::reap_crash(CallOutcome& outcome, const FaultRecord& fault) {
+  outcome = CallOutcome{};
+  outcome.kind = CallOutcome::Kind::kCrash;
+  outcome.signal = fault.kind;
+  outcome.detail = fault.to_string();
+  if (observer_ != nullptr) observer_->on_fault(machine_, fault.kind, fault.address, fault.detail);
+}
+
+template <typename Body>
+CallOutcome Process::reap(Body&& body) {
   CallOutcome outcome;
   try {
-    outcome.ret = call(symbol, std::move(args));
-    outcome.kind = CallOutcome::Kind::kReturned;
+    body(outcome);
   } catch (const AccessFault& fault) {
-    if (observer_ != nullptr) {
-      observer_->on_fault(machine_, fault.kind(), fault.address(), fault.detail());
+    // A fault latched before this one was thrown wins, below.
+    if (!machine_.faulted()) {
+      ++crashes_unwound_;
+      reap_crash(outcome, fault.record());
     }
-    outcome.kind = CallOutcome::Kind::kCrash;
-    outcome.signal = fault.kind();
-    outcome.detail = fault.what();
   } catch (const SimHang& hang) {
     outcome.kind = CallOutcome::Kind::kHang;
     outcome.detail = hang.what();
@@ -233,36 +248,28 @@ CallOutcome Process::supervised_call(const std::string& symbol,
   } catch (const SimExit& exit_) {
     outcome.kind = CallOutcome::Kind::kExit;
     outcome.exit_code = exit_.code();
+  } catch (...) {
+    if (!machine_.faulted()) throw;
   }
+  // Taken before the observer runs: a dossier reads memory, and a latched
+  // fault would trip on it.
+  if (machine_.faulted()) reap_crash(outcome, machine_.mem().take_fault());
   return outcome;
 }
 
+CallOutcome Process::supervised_call(const std::string& symbol,
+                                     std::vector<simlib::SimValue> args) {
+  return reap([&](CallOutcome& outcome) {
+    outcome.ret = dispatch(symbol, std::move(args));
+    outcome.kind = CallOutcome::Kind::kReturned;
+  });
+}
+
 CallOutcome Process::run(const std::function<int(Process&)>& program) {
-  CallOutcome outcome;
-  try {
+  return reap([&](CallOutcome& outcome) {
     outcome.exit_code = program(*this);
     outcome.kind = CallOutcome::Kind::kExit;
-  } catch (const AccessFault& fault) {
-    if (observer_ != nullptr) {
-      observer_->on_fault(machine_, fault.kind(), fault.address(), fault.detail());
-    }
-    outcome.kind = CallOutcome::Kind::kCrash;
-    outcome.signal = fault.kind();
-    outcome.detail = fault.what();
-  } catch (const SimHang& hang) {
-    outcome.kind = CallOutcome::Kind::kHang;
-    outcome.detail = hang.what();
-  } catch (const SimAbort& abort_) {
-    outcome.kind = CallOutcome::Kind::kAbort;
-    outcome.detail = abort_.reason();
-  } catch (const ControlFlowHijack& hijack) {
-    outcome.kind = CallOutcome::Kind::kHijack;
-    outcome.detail = hijack.detail();
-  } catch (const SimExit& exit_) {
-    outcome.kind = CallOutcome::Kind::kExit;
-    outcome.exit_code = exit_.code();
-  }
-  return outcome;
+  });
 }
 
 mem::Addr Process::alloc_cstring(const std::string& text) {

@@ -125,15 +125,22 @@ class Process {
   // --- calling ---
   // Raw call: interposition chain runs; faults propagate as exceptions.
   // This is what application code uses, so that a crash inside any call
-  // unwinds the whole simulated program.
+  // unwinds the whole simulated program: a fault the library latched is
+  // rethrown here, at the application boundary.
   simlib::SimValue call(const std::string& symbol, std::vector<simlib::SimValue> args);
 
   // Supervised call: like call(), but faults are reaped into a CallOutcome.
+  // A fault the library latched becomes the outcome without any unwinding.
   CallOutcome supervised_call(const std::string& symbol, std::vector<simlib::SimValue> args);
 
   // Runs a whole simulated program under supervision. The program's int
   // return becomes kExit with that status; faults are reaped as above.
   CallOutcome run(const std::function<int(Process&)>& program);
+
+  // Crashes the supervisor reaped from an unwound AccessFault rather than
+  // from a latched fault (telemetry; a program's crash always unwinds, a
+  // probe's only where a fault site still throws). Survives restore().
+  [[nodiscard]] std::uint64_t crashes_unwound() const noexcept { return crashes_unwound_; }
 
   // --- convenience for app/test code (not part of the libc surface) ---
   // Heap-allocates and fills a NUL-terminated string; throws on OOM.
@@ -195,8 +202,20 @@ class Process {
     mem::Addr code = 0;
   };
   DispatchPlan& plan_for(const std::string& symbol);
+  // call() without the boundary rethrow: a fault the library latched is
+  // still latched when this returns.
+  simlib::SimValue dispatch(const std::string& symbol, std::vector<simlib::SimValue>&& args);
+  // Runs the plan from `layer` down. At the base layer a latched fault is
+  // rethrown when wrapper layers sit above it, so wrappers see it unwind.
   simlib::SimValue run_plan(const DispatchPlan& plan, std::size_t layer,
                             const std::string& symbol, simlib::CallContext& ctx);
+  // The one reaping path of supervised_call and run: runs `body`, then turns
+  // whatever ended it — a latched fault, or a thrown fault, hang, abort,
+  // hijack or exit — into the outcome. A latched fault wins over any
+  // exception that escaped after it.
+  template <typename Body>
+  CallOutcome reap(Body&& body);
+  void reap_crash(CallOutcome& outcome, const FaultRecord& fault);
   // Demand loading: defines the GOT slot and maps the symbol's text page.
   // Returns the slot.
   mem::Addr fault_in_symbol(const std::string& symbol);
@@ -211,6 +230,7 @@ class Process {
   std::vector<InterpositionPtr> preloads_;
   std::unordered_map<std::string, DispatchPlan> plans_;
   std::uint64_t calls_dispatched_ = 0;
+  std::uint64_t crashes_unwound_ = 0;
   simlib::CallObserver* observer_ = nullptr;
 
   // Demand-loading state (inert unless enable_demand_loading ran).

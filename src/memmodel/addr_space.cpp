@@ -20,6 +20,37 @@ constexpr Addr kGuardGap = 0x1000;
   return static_cast<std::size_t>((pages + 63) / 64);
 }
 
+// True when [addr, addr+len) with `want` fits `region`, which is find(addr).
+[[nodiscard]] bool admits(const Region* region, Addr addr, std::uint64_t len,
+                          Perm want) noexcept {
+  return region != nullptr && allows(region->perm, want) &&
+         len <= region->size - (addr - region->base);
+}
+
+// Describes the fault of an access `region` (find(addr)) does not admit.
+// Writes into `out`, reusing its detail buffer. Kept out of line and cold:
+// inlined, its string building widens the frame of try_checked(), which
+// every checked access runs, and keeps try_checked() itself from being
+// inlined (DESIGN.md, "Faults are trapped, not fatal").
+[[gnu::cold, gnu::noinline]] void describe_fault(Addr addr, std::uint64_t len, Perm want,
+                                                 const Region* region, FaultRecord& out) {
+  out.kind = FaultKind::kSegv;
+  if (region == nullptr) {
+    out.address = addr;
+    out.detail.assign("unmapped address");
+  } else if (!allows(region->perm, want)) {
+    out.address = addr;
+    out.detail.assign("permission violation in region '").append(region->label).append("'");
+  } else {
+    out.address = region->end();
+    out.detail.assign("access of ")
+        .append(std::to_string(len))
+        .append(" bytes runs past region '")
+        .append(region->label)
+        .append("'");
+  }
+}
+
 }  // namespace
 
 AddressSpace::AddressSpace() : next_base_(kFirstBase) {}
@@ -134,21 +165,37 @@ void AddressSpace::protect(Addr base, Perm perm) {
   cache_flush();
 }
 
-const Region& AddressSpace::checked(Addr addr, std::uint64_t len, Perm want) const {
+const Region* AddressSpace::try_checked(Addr addr, std::uint64_t len, Perm want) const {
+  if (latched_) raise_fault();
   const Region* region = find(addr);
-  if (region == nullptr) {
-    throw AccessFault(FaultKind::kSegv, addr, "unmapped address");
-  }
-  if (!allows(region->perm, want)) {
-    throw AccessFault(FaultKind::kSegv, addr,
-                      std::string("permission violation in region '") + region->label + "'");
-  }
-  if (len > region->size - (addr - region->base)) {
-    throw AccessFault(FaultKind::kSegv, region->end(),
-                      "access of " + std::to_string(len) + " bytes runs past region '" +
-                          region->label + "'");
-  }
+  if (admits(region, addr, len, want)) return region;
+  describe_fault(addr, len, want, region, latch_);
+  latched_ = true;
+  return nullptr;
+}
+
+const Region& AddressSpace::checked(Addr addr, std::uint64_t len, Perm want) const {
+  const Region* region = try_checked(addr, len, want);
+  if (region == nullptr) raise_fault();
   return *region;
+}
+
+void AddressSpace::latch_fault(FaultKind kind, Addr address, std::string_view detail) const {
+  if (latched_) raise_fault();
+  latch_.kind = kind;
+  latch_.address = address;
+  latch_.detail.assign(detail);
+  latched_ = true;
+}
+
+FaultRecord AddressSpace::take_fault() {
+  latched_ = false;
+  return std::move(latch_);
+}
+
+void AddressSpace::raise_fault() const {
+  latched_ = false;
+  throw AccessFault(std::move(latch_));
 }
 
 Region& AddressSpace::checked_mut(Addr addr, std::uint64_t len, Perm want) {
@@ -188,22 +235,19 @@ void AddressSpace::privatize(Region& region, std::uint64_t off, std::uint64_t le
   }
 }
 
-std::uint8_t AddressSpace::load8(Addr addr) const {
-  const Region& region = checked(addr, 1, Perm::kRead);
+std::uint8_t AddressSpace::read8(const Region& region, Addr addr) const noexcept {
   const std::uint64_t off = addr - region.base;
   fault_in(region, off, 1);
   return std::to_integer<std::uint8_t>(region.working[off]);
 }
 
-void AddressSpace::store8(Addr addr, std::uint8_t value) {
-  Region& region = checked_mut(addr, 1, Perm::kWrite);
+void AddressSpace::write8(Region& region, Addr addr, std::uint8_t value) noexcept {
   const std::uint64_t off = addr - region.base;
   privatize(region, off, 1);
   region.working[off] = std::byte{value};
 }
 
-std::uint64_t AddressSpace::load64(Addr addr) const {
-  const Region& region = checked(addr, 8, Perm::kRead);
+std::uint64_t AddressSpace::read64(const Region& region, Addr addr) const noexcept {
   const std::uint64_t off = addr - region.base;
   fault_in(region, off, 8);
   if constexpr (std::endian::native == std::endian::little) {
@@ -220,8 +264,7 @@ std::uint64_t AddressSpace::load64(Addr addr) const {
   }
 }
 
-void AddressSpace::store64(Addr addr, std::uint64_t value) {
-  Region& region = checked_mut(addr, 8, Perm::kWrite);
+void AddressSpace::write64(Region& region, Addr addr, std::uint64_t value) noexcept {
   const std::uint64_t off = addr - region.base;
   privatize(region, off, 8);
   if constexpr (std::endian::native == std::endian::little) {
@@ -231,6 +274,54 @@ void AddressSpace::store64(Addr addr, std::uint64_t value) {
       region.working[off + i] = std::byte{static_cast<std::uint8_t>(value >> (8 * i))};
     }
   }
+}
+
+std::uint8_t AddressSpace::load8(Addr addr) const {
+  return read8(checked(addr, 1, Perm::kRead), addr);
+}
+
+void AddressSpace::store8(Addr addr, std::uint8_t value) {
+  write8(checked_mut(addr, 1, Perm::kWrite), addr, value);
+}
+
+std::uint64_t AddressSpace::load64(Addr addr) const {
+  return read64(checked(addr, 8, Perm::kRead), addr);
+}
+
+void AddressSpace::store64(Addr addr, std::uint64_t value) {
+  write64(checked_mut(addr, 8, Perm::kWrite), addr, value);
+}
+
+bool AddressSpace::try_load8(Addr addr, std::uint8_t& out) const {
+  const Region* region = try_checked(addr, 1, Perm::kRead);
+  if (region == nullptr) return false;
+  out = read8(*region, addr);
+  return true;
+}
+
+bool AddressSpace::try_store8(Addr addr, std::uint8_t value) {
+  const Region* region = try_checked(addr, 1, Perm::kWrite);
+  if (region == nullptr) return false;
+  write8(const_cast<Region&>(*region), addr, value);
+  return true;
+}
+
+bool AddressSpace::try_load64(Addr addr, std::uint64_t& out) const {
+  const Region* region = try_checked(addr, 8, Perm::kRead);
+  if (region == nullptr) return false;
+  out = read64(*region, addr);
+  return true;
+}
+
+bool AddressSpace::try_store64(Addr addr, std::uint64_t value) {
+  const Region* region = try_checked(addr, 8, Perm::kWrite);
+  if (region == nullptr) return false;
+  write64(const_cast<Region&>(*region), addr, value);
+  return true;
+}
+
+bool AddressSpace::try_check(Addr addr, std::uint64_t len, Perm want) const {
+  return len == 0 || try_checked(addr, len, want) != nullptr;
 }
 
 std::vector<std::byte> AddressSpace::read_bytes(Addr addr, std::uint64_t len) const {
@@ -313,31 +404,39 @@ AddressSpace::TerminatorScan AddressSpace::scan_terminator(Addr addr,
   return {false, scanned};
 }
 
-std::string AddressSpace::read_cstring(Addr addr, std::uint64_t max_len) const {
+bool AddressSpace::try_read_cstring(Addr addr, std::string& out, std::uint64_t max_len) const {
+  if (latched_) raise_fault();
   const TerminatorScan scan = scan_terminator(addr, max_len);
-  if (scan.found) {
-    std::string out;
-    out.resize(static_cast<std::size_t>(scan.scanned));
-    // The scan proved [addr, addr+scanned) readable (and resident); gather
-    // per-region chunks (the run may cross abutting regions).
-    std::uint64_t copied = 0;
-    while (copied < scan.scanned) {
-      const Addr cursor = addr + copied;
-      const Region* region = find(cursor);
-      const std::uint64_t chunk =
-          std::min<std::uint64_t>(region->end() - cursor, scan.scanned - copied);
-      std::memcpy(out.data() + copied, region->working.data() + (cursor - region->base), chunk);
-      copied += chunk;
+  if (!scan.found) {
+    if (scan.scanned < max_len) {
+      // The scan left readable memory: the fault of the reference per-byte
+      // loop's load8 there, with its kind/address/detail.
+      (void)try_checked(addr + scan.scanned, 1, Perm::kRead);
+    } else {
+      latch_fault(FaultKind::kSegv, addr + max_len,
+                  "unterminated string scan exceeded " + std::to_string(max_len) + " bytes");
     }
-    return out;
+    return false;
   }
-  if (scan.scanned < max_len) {
-    // The scan left readable memory: replay the faulting byte access so the
-    // fault kind/address/detail match the reference per-byte loop exactly.
-    (void)load8(addr + scan.scanned);
+  // The scan proved [addr, addr+scanned) readable (and resident); gather
+  // per-region chunks (the run may cross abutting regions).
+  out.resize(static_cast<std::size_t>(scan.scanned));
+  std::uint64_t copied = 0;
+  while (copied < scan.scanned) {
+    const Addr cursor = addr + copied;
+    const Region* region = find(cursor);
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(region->end() - cursor, scan.scanned - copied);
+    std::memcpy(out.data() + copied, region->working.data() + (cursor - region->base), chunk);
+    copied += chunk;
   }
-  throw AccessFault(FaultKind::kSegv, addr + max_len,
-                    "unterminated string scan exceeded " + std::to_string(max_len) + " bytes");
+  return true;
+}
+
+std::string AddressSpace::read_cstring(Addr addr, std::uint64_t max_len) const {
+  std::string out;
+  if (!try_read_cstring(addr, out, max_len)) raise_fault();
+  return out;
 }
 
 void AddressSpace::write_cstring(Addr addr, std::string_view text) {
@@ -347,8 +446,7 @@ void AddressSpace::write_cstring(Addr addr, std::string_view text) {
 }
 
 void AddressSpace::check(Addr addr, std::uint64_t len, Perm want) const {
-  if (len == 0) return;
-  (void)checked(addr, len, want);
+  if (!try_check(addr, len, want)) raise_fault();
 }
 
 PageRef AddressSpace::seal_page(const Region& region, std::uint64_t p) {
@@ -499,6 +597,7 @@ void AddressSpace::restore(const Snapshot& snap) {
   while (live != regions_.end()) live = regions_.erase(live);
   next_base_ = image.next_base;
   base_image_ = snap.image();
+  latched_ = false;
   ++cow_.restores;
   cache_flush();
 }

@@ -3,8 +3,11 @@
 // This is the substrate that replaces hardware memory protection in the
 // paper's setup (DESIGN.md, substitution table). Library code in simlib/
 // performs every load and store through this class; the first access outside
-// a mapped region, or against region permissions, raises AccessFault at
-// exactly the point a real process would have received SIGSEGV.
+// a mapped region, or against region permissions, faults at exactly the
+// point a real process would have received SIGSEGV. The throwing accessors
+// raise AccessFault there; the try_ accessors latch the identical fault in
+// the space and return false, so a library function can return with it
+// instead of unwinding (support/faults.hpp, "Latched and returned").
 //
 // Regions are mapped with guard gaps between them so that off-by-one and
 // runaway accesses land in unmapped space rather than silently hitting a
@@ -130,7 +133,8 @@ class AddressSpace {
 
   // --- Access API (every call is one simulated access) ---
   // All of these throw AccessFault on unmapped addresses, permission
-  // violations, or ranges that cross a region boundary.
+  // violations, or ranges that cross a region boundary. Each also throws a
+  // latched fault (the tripwire, see faulted()).
 
   [[nodiscard]] std::uint8_t load8(Addr addr) const;
   void store8(Addr addr, std::uint8_t value);
@@ -199,6 +203,30 @@ class AddressSpace {
   // Validates an access without performing it.
   void check(Addr addr, std::uint64_t len, Perm want) const;
 
+  // --- Non-throwing accessors (the latched-fault path) ---------------------
+  // Each performs the access of its throwing twin, or, where that twin would
+  // throw AccessFault, latches the identical FaultRecord and returns false
+  // with no other effect. A latched fault must be reaped (take_fault) or
+  // raised (raise_fault) before the space is used again: until then every
+  // tick and checked access throws it, try_ accessors included.
+  [[nodiscard]] bool try_load8(Addr addr, std::uint8_t& out) const;
+  [[nodiscard]] bool try_store8(Addr addr, std::uint8_t value);
+  [[nodiscard]] bool try_load64(Addr addr, std::uint64_t& out) const;
+  [[nodiscard]] bool try_store64(Addr addr, std::uint64_t value);
+  [[nodiscard]] bool try_check(Addr addr, std::uint64_t len, Perm want) const;
+  [[nodiscard]] bool try_read_cstring(Addr addr, std::string& out,
+                                      std::uint64_t max_len = 1 << 20) const;
+
+  // --- The fault latch -----------------------------------------------------
+  [[nodiscard]] bool faulted() const noexcept { return latched_; }
+  // Latches a fault found by library logic rather than by an access (a FILE
+  // object with the wrong magic, a call through a bad function pointer).
+  void latch_fault(FaultKind kind, Addr address, std::string_view detail) const;
+  // Moves the latched fault out and clears the latch.
+  [[nodiscard]] FaultRecord take_fault();
+  // Throws the latched fault as AccessFault and clears the latch.
+  [[noreturn]] void raise_fault() const;
+
   // True iff [addr, addr+len) is mapped with the requested permission.
   [[nodiscard]] bool accessible(Addr addr, std::uint64_t len, Perm want) const noexcept;
 
@@ -227,9 +255,9 @@ class AddressSpace {
   // of times, in any order; forked testbed states are exactly such handles.
   // restore() adopts the snapshot's image: private pages are dropped (never
   // copied back), regions mapped since are unmapped, regions unmapped since
-  // reappear, and the bump allocator cursor rewinds, so a restored space is
-  // bit-identical to the captured one. Pages are faulted back in lazily on
-  // first access after the adoption.
+  // reappear, the bump allocator cursor rewinds and a latched fault is
+  // cleared, so a restored space is bit-identical to the captured one. Pages
+  // are faulted back in lazily on first access after the adoption.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -255,9 +283,17 @@ class AddressSpace {
   [[nodiscard]] const CowStats& cow_stats() const noexcept { return cow_; }
 
  private:
-  // Throws AccessFault unless [addr, addr+len) lies in one region with perm.
+  // The region [addr, addr+len) lies in with perm, or nullptr after latching
+  // the fault. Every access fault is described here.
+  const Region* try_checked(Addr addr, std::uint64_t len, Perm want) const;
+  // try_checked() that throws the fault instead of returning nullptr.
   const Region& checked(Addr addr, std::uint64_t len, Perm want) const;
   Region& checked_mut(Addr addr, std::uint64_t len, Perm want);
+  // The accesses proper, on a region checked() or try_checked() returned.
+  [[nodiscard]] std::uint8_t read8(const Region& region, Addr addr) const noexcept;
+  void write8(Region& region, Addr addr, std::uint8_t value) noexcept;
+  [[nodiscard]] std::uint64_t read64(const Region& region, Addr addr) const noexcept;
+  void write64(Region& region, Addr addr, std::uint64_t value) noexcept;
 
   // --- COW barriers ---------------------------------------------------------
   // Read barrier: ensures every page of [off, off+len) is resident in the
@@ -318,6 +354,11 @@ class AddressSpace {
   mutable CacheWay ways_[kCacheWays];
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
+
+  // The latched fault (valid while latched_). Mutable so that const reads
+  // can latch a fault and the tripwire can clear it as it raises.
+  mutable FaultRecord latch_;
+  mutable bool latched_ = false;
 };
 
 }  // namespace healers::mem

@@ -148,11 +148,14 @@ Addr Heap::realloc(Addr user, std::uint64_t size) {
     free(user);
     return 0;
   }
-  const std::uint64_t old_usable = usable_size(user);
+  std::uint64_t header = 0;
+  if (!space_.try_load64(user - kHeaderSize, header)) return 0;
+  const std::uint64_t old_usable = (header & ~(kAlign - 1)) - kHeaderSize;
   const Addr fresh = malloc(size);
   if (fresh == 0) return 0;
   const std::uint64_t copy = std::min(old_usable, size);
   if (copy > 0) {
+    if (!space_.try_check(user, copy, Perm::kRead)) return 0;
     const auto bytes = space_.read_bytes(user, copy);
     space_.write_bytes(fresh, bytes.data(), bytes.size());
   }

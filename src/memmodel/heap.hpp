@@ -77,7 +77,9 @@ class Heap {
   void free(Addr user);
 
   // realloc with the usual contract: realloc(0, n) == malloc(n),
-  // realloc(p, 0) frees and returns 0.
+  // realloc(p, 0) frees and returns 0. When reading the old chunk faults (a
+  // wild `user`), the fault is latched in the address space and realloc
+  // returns 0 at once.
   [[nodiscard]] Addr realloc(Addr user, std::uint64_t size);
 
   // Usable user bytes of a live allocation (chunk size - header).

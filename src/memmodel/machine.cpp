@@ -30,6 +30,7 @@ Machine::Machine(MachineConfig config) : config_(config) {
 }
 
 void Machine::tick(std::uint64_t n) {
+  if (space_.faulted()) space_.raise_fault();
   steps_ += n;
   cycles_ += n;
   if (steps_ > config_.step_budget) {
@@ -38,7 +39,7 @@ void Machine::tick(std::uint64_t n) {
 }
 
 Addr Machine::intern_string(const std::string& text) {
-  if (auto it = interned_.find(text); it != interned_.end()) return it->second;
+  if (auto it = interned_.live.find(text); it != interned_.live.end()) return it->second;
   const std::uint64_t need = text.size() + 1;
   if (rodata_used_ + need > rodata_size_) {
     throw std::runtime_error("Machine: rodata segment exhausted");
@@ -51,51 +52,52 @@ Addr Machine::intern_string(const std::string& text) {
   const char nul = '\0';
   space_.loader_fill(addr + text.size(), &nul, 1);
   rodata_used_ += need;
-  interned_.emplace(text, addr);
+  interned_.edit().emplace(text, addr);
   return addr;
 }
 
 Addr Machine::register_code(const std::string& name) {
-  if (auto it = code_by_name_.find(name); it != code_by_name_.end()) return it->second;
+  if (auto it = code_.live.by_name.find(name); it != code_.live.by_name.end()) return it->second;
   if (text_next_ + kCodeStride > kTextSize) {
     throw std::runtime_error("Machine: text segment exhausted");
   }
   const Addr addr = text_base_ + text_next_;
   text_next_ += kCodeStride;
-  code_by_name_.emplace(name, addr);
-  name_by_code_.emplace(addr, name);
+  CodeTable& code = code_.edit();
+  code.by_name.emplace(name, addr);
+  code.by_code.emplace(addr, name);
   return addr;
 }
 
 std::optional<std::string> Machine::resolve_code(Addr addr) const {
-  auto it = name_by_code_.find(addr);
-  if (it == name_by_code_.end()) return std::nullopt;
+  auto it = code_.live.by_code.find(addr);
+  if (it == code_.live.by_code.end()) return std::nullopt;
   return it->second;
 }
 
 Addr Machine::define_got_slot(const std::string& name) {
-  if (auto it = got_slots_.find(name); it != got_slots_.end()) return it->second;
+  if (auto it = got_slots_.live.find(name); it != got_slots_.live.end()) return it->second;
   if (got_next_ + 8 > got_capacity_) {
     throw std::runtime_error("Machine: GOT exhausted");
   }
   const Addr slot = got_base_ + got_next_;
   got_next_ += 8;
   space_.store64(slot, register_code(name));
-  got_slots_.emplace(name, slot);
+  got_slots_.edit().emplace(name, slot);
   return slot;
 }
 
 Addr Machine::got_slot(const std::string& name) const {
-  auto it = got_slots_.find(name);
-  if (it == got_slots_.end()) {
+  auto it = got_slots_.live.find(name);
+  if (it == got_slots_.live.end()) {
     throw std::invalid_argument("Machine: no GOT slot for " + name);
   }
   return it->second;
 }
 
 Addr Machine::find_got_slot(const std::string& name) const noexcept {
-  const auto it = got_slots_.find(name);
-  return it != got_slots_.end() ? it->second : 0;
+  const auto it = got_slots_.live.find(name);
+  return it != got_slots_.live.end() ? it->second : 0;
 }
 
 Addr Machine::load_got(Addr slot) {
@@ -119,15 +121,12 @@ Machine::Snapshot Machine::snapshot() {
   snap.steps = steps_;
   snap.cycles = cycles_;
   snap.err = errno_;
-  auto loader = std::make_shared<LoaderTables>();
-  loader->rodata_used = rodata_used_;
-  loader->interned = interned_;
-  loader->text_next = text_next_;
-  loader->code_by_name = code_by_name_;
-  loader->name_by_code = name_by_code_;
-  loader->got_next = got_next_;
-  loader->got_slots = got_slots_;
-  snap.loader = std::move(loader);
+  snap.rodata_used = rodata_used_;
+  snap.text_next = text_next_;
+  snap.got_next = got_next_;
+  snap.interned = interned_.freeze();
+  snap.code = code_.freeze();
+  snap.got_slots = got_slots_.freeze();
   return snap;
 }
 
@@ -139,18 +138,12 @@ void Machine::restore(const Snapshot& snap) {
   steps_ = snap.steps;
   cycles_ = snap.cycles;
   errno_ = snap.err;
-  const LoaderTables& loader = *snap.loader;
-  rodata_used_ = loader.rodata_used;
-  text_next_ = loader.text_next;
-  got_next_ = loader.got_next;
-  // The loader tables only ever grow (no API removes an entry), so an equal
-  // size means an identical table — skip the copy on the hot reset path.
-  if (interned_.size() != loader.interned.size()) interned_ = loader.interned;
-  if (code_by_name_.size() != loader.code_by_name.size()) {
-    code_by_name_ = loader.code_by_name;
-    name_by_code_ = loader.name_by_code;
-  }
-  if (got_slots_.size() != loader.got_slots.size()) got_slots_ = loader.got_slots;
+  rodata_used_ = snap.rodata_used;
+  text_next_ = snap.text_next;
+  got_next_ = snap.got_next;
+  interned_.rewind(snap.interned);
+  code_.rewind(snap.code);
+  got_slots_.rewind(snap.got_slots);
 }
 
 }  // namespace healers::mem

@@ -1,7 +1,8 @@
 // The simulated machine: one address space + heap + stack + the three
 // oracles the paper's fault-injection driver relied on, made deterministic:
 //
-//   * crash oracle  — AccessFault from the address space (SIGSEGV analogue),
+//   * crash oracle  — an access fault from the address space (SIGSEGV
+//                     analogue), thrown or latched (support/faults.hpp),
 //   * hang oracle   — a step budget; library loops call tick() per unit of
 //                     work and SimHang fires when the budget is exhausted
 //                     (the driver's watchdog timeout analogue),
@@ -51,7 +52,9 @@ class Machine {
 
   // --- hang oracle ---
   // Consumes `n` steps of work; throws SimHang when the budget is exceeded.
-  // Each step also advances the virtual cycle clock.
+  // Each step also advances the virtual cycle clock. A latched fault is
+  // thrown instead, before any step is taken (the tripwire: no work follows
+  // a fault).
   void tick(std::uint64_t n = 1);
   // How many of `n` per-unit {tick(); work} iterations would complete before
   // the budget hangs. Bulk loops tick and commit this many units, then issue
@@ -70,6 +73,10 @@ class Machine {
   // --- virtual cycle clock (rdtsc analogue) ---
   [[nodiscard]] std::uint64_t rdtsc() const noexcept { return cycles_; }
   void add_cycles(std::uint64_t n) noexcept { cycles_ += n; }
+
+  // --- crash oracle ---
+  // True while the address space holds a latched fault.
+  [[nodiscard]] bool faulted() const noexcept { return space_.faulted(); }
 
   // --- errno cell ---
   [[nodiscard]] int err() const noexcept { return errno_; }
@@ -114,19 +121,20 @@ class Machine {
   // --- snapshot / restore --------------------------------------------------
   // Captures the whole machine: address-space contents (as a refcounted COW
   // image — see AddressSpace::Snapshot), heap/stack bookkeeping,
-  // step/cycle/errno cells, and the rodata/text/GOT loader tables (shared,
-  // immutable once captured). restore() rewinds to exactly that state; the
-  // fault injector uses it to reset a fully-loaded testbed between probes
-  // instead of rebuilding the process. Snapshots are cheap to copy and any
-  // number may coexist; a machine may restore any of them in any order.
-  struct LoaderTables {
-    std::uint64_t rodata_used = 0;
-    std::unordered_map<std::string, Addr> interned;
-    std::uint64_t text_next = 0;
-    std::unordered_map<std::string, Addr> code_by_name;
-    std::unordered_map<Addr, std::string> name_by_code;
-    std::uint64_t got_next = 0;
-    std::unordered_map<std::string, Addr> got_slots;
+  // step/cycle/errno cells, and the rodata/text/GOT loader tables. restore()
+  // rewinds to exactly that state and clears a latched fault; the fault
+  // injector uses it to reset a fully-loaded testbed between probes instead
+  // of rebuilding the process. Snapshots are cheap to copy and any number
+  // may coexist; a machine may restore any of them in any order.
+  //
+  // Each loader table is frozen into an immutable shared copy at most once
+  // per change: snapshots taken while a table is unchanged share its copy,
+  // and the copy's identity is the table's generation. restore() copies back
+  // only the tables whose generation differs from the live one.
+  using NameTable = std::unordered_map<std::string, Addr>;
+  struct CodeTable {
+    std::unordered_map<std::string, Addr> by_name;
+    std::unordered_map<Addr, std::string> by_code;
   };
   struct Snapshot {
     AddressSpace::Snapshot space;
@@ -136,12 +144,39 @@ class Machine {
     std::uint64_t steps = 0;
     std::uint64_t cycles = 0;
     int err = 0;
-    std::shared_ptr<const LoaderTables> loader;
+    std::uint64_t rodata_used = 0;
+    std::uint64_t text_next = 0;
+    std::uint64_t got_next = 0;
+    std::shared_ptr<const NameTable> interned;
+    std::shared_ptr<const CodeTable> code;
+    std::shared_ptr<const NameTable> got_slots;
   };
   [[nodiscard]] Snapshot snapshot();
   void restore(const Snapshot& snap);
 
  private:
+  // A live loader table and its frozen copy. `frozen` is null once `live`
+  // changed after the last freeze; otherwise *frozen equals live.
+  template <typename T>
+  struct LoaderTable {
+    T live;
+    std::shared_ptr<const T> frozen;
+
+    T& edit() {
+      frozen.reset();
+      return live;
+    }
+    const std::shared_ptr<const T>& freeze() {
+      if (frozen == nullptr) frozen = std::make_shared<const T>(live);
+      return frozen;
+    }
+    void rewind(const std::shared_ptr<const T>& snap) {
+      if (frozen == snap) return;
+      live = *snap;
+      frozen = snap;
+    }
+  };
+
   MachineConfig config_;
   AddressSpace space_;
   std::unique_ptr<Heap> heap_;
@@ -155,17 +190,16 @@ class Machine {
   Addr rodata_base_ = 0;
   std::uint64_t rodata_used_ = 0;
   std::uint64_t rodata_size_ = 0;
-  std::unordered_map<std::string, Addr> interned_;
+  LoaderTable<NameTable> interned_;
 
   // text + GOT
   Addr text_base_ = 0;
   std::uint64_t text_next_ = 0;
-  std::unordered_map<std::string, Addr> code_by_name_;
-  std::unordered_map<Addr, std::string> name_by_code_;
+  LoaderTable<CodeTable> code_;
   Addr got_base_ = 0;
   std::uint64_t got_next_ = 0;
   std::uint64_t got_capacity_ = 0;
-  std::unordered_map<std::string, Addr> got_slots_;
+  LoaderTable<NameTable> got_slots_;
 };
 
 }  // namespace healers::mem

@@ -12,8 +12,13 @@
 //   one more tick() raises SimHang at step budget+1, just like iteration
 //   m+1 of the reference loop. Faults are replayed literally: charge the one
 //   tick the reference loop spends before the bad access, then perform the
-//   original load8/store8 so the AccessFault carries the identical address
-//   and detail text.
+//   original byte access through try_load8/try_store8, which latches the
+//   identical fault address and detail text (support/faults.hpp).
+//
+// A helper that latches a fault returns at once, with no further tick,
+// store or host-side effect; its return value is then meaningless. Callers
+// test Machine::faulted() before doing anything else and return at once
+// too, so the fault reaches the supervisor without unwinding.
 //
 // All helpers walk per-region chunks via span_extent, so runs crossing
 // abutting regions (map_at permits them) behave exactly like a per-byte
@@ -38,11 +43,23 @@ inline void settle(mem::Machine& m, std::uint64_t done, std::uint64_t want) {
   if (done < want) m.tick();  // throws SimHang at step budget+1
 }
 
-// The reference loop ticks, then the byte access throws: hang wins over
-// fault at the same byte, and the fault carries the per-byte address/detail.
+// The reference loop ticks, then the byte access faults: hang wins over
+// fault at the same byte, and the latched fault carries the per-byte
+// address/detail. Only called where span_extent found addr unreadable.
 inline void replay_load(mem::Machine& m, Addr addr) {
   m.tick();
-  (void)m.mem().load8(addr);
+  std::uint8_t byte = 0;
+  (void)m.mem().try_load8(addr, byte);
+}
+
+// The reference copy loop's byte step where a chunk is empty: tick, load
+// the source byte, store it. One of the two accesses faults and latches;
+// returns false then.
+inline bool replay_copy(mem::Machine& m, Addr dest, Addr src) {
+  m.tick();
+  mem::AddressSpace& as = m.mem();
+  std::uint8_t byte = 0;
+  return as.try_load8(src, byte) && as.try_store8(dest, byte);
 }
 
 // Offset of the first NUL or `stop` byte in p[0, n), or n when neither is
@@ -66,8 +83,8 @@ inline std::uint64_t scan_len(mem::Machine& m, Addr s) {
   while (true) {
     const std::uint64_t extent = as.span_extent(s + n, Perm::kRead);
     if (extent == 0) {
-      replay_load(m, s + n);  // throws; the scan left readable memory
-      continue;
+      replay_load(m, s + n);  // the scan left readable memory
+      return 0;
     }
     const std::byte* p = as.span(s + n, extent, Perm::kRead);
     const void* hit = std::memchr(p, 0, extent);
@@ -89,7 +106,7 @@ inline std::uint64_t scan_len_bounded(mem::Machine& m, Addr s, std::uint64_t cap
     const std::uint64_t extent = as.span_extent(s + n, Perm::kRead);
     if (extent == 0) {
       replay_load(m, s + n);
-      continue;
+      return 0;
     }
     const std::uint64_t c = std::min(extent, cap - n);
     const std::byte* p = as.span(s + n, c, Perm::kRead);
@@ -121,9 +138,8 @@ inline void copy_forward(mem::Machine& m, Addr dest, Addr src, std::uint64_t n) 
     c = std::min(c, n - i);
     if (gap != 0) c = std::min(c, gap);
     if (c == 0) {
-      m.tick();
-      const std::uint8_t byte = as.load8(src + i);  // faults when src ran out
-      as.store8(dest + i, byte);                    // otherwise dest must
+      // Faults at src when it ran out, otherwise at dest.
+      if (!replay_copy(m, dest + i, src + i)) return;
       ++i;
       continue;
     }
@@ -150,9 +166,7 @@ inline void copy_backward(mem::Machine& m, Addr dest, Addr src, std::uint64_t n)
                                as.span_extent_back(rd, Perm::kWrite));
     c = std::min(c, n - done);
     if (c == 0) {
-      m.tick();
-      const std::uint8_t byte = as.load8(rs);
-      as.store8(rd, byte);
+      if (!replay_copy(m, rd, rs)) return;
       ++done;
       continue;
     }
@@ -173,7 +187,7 @@ inline void fill(mem::Machine& m, Addr dest, std::uint8_t value, std::uint64_t n
     const std::uint64_t c = std::min(as.span_extent(dest + i, Perm::kWrite), n - i);
     if (c == 0) {
       m.tick();
-      as.store8(dest + i, value);  // throws the exact write fault
+      if (!as.try_store8(dest + i, value)) return;  // latches the exact write fault
       ++i;
       continue;
     }
@@ -186,9 +200,9 @@ inline void fill(mem::Machine& m, Addr dest, std::uint8_t value, std::uint64_t n
 
 // sprintf/fread/fgets core: writes n host-side bytes into simulated memory,
 // one tick per byte. When `cursor` is non-null it is advanced once per
-// committed byte BEFORE any fault or hang escapes, matching reference loops
-// that consume their host source before the faulting store (fgets advances
-// file.pos, gets advances stdin_pos).
+// committed byte BEFORE any fault latches or hang escapes, matching
+// reference loops that consume their host source before the faulting store
+// (fgets advances file.pos, gets advances stdin_pos).
 inline void store_host(mem::Machine& m, Addr dest, const char* src, std::uint64_t n,
                        std::uint64_t* cursor = nullptr) {
   mem::AddressSpace& as = m.mem();
@@ -198,7 +212,7 @@ inline void store_host(mem::Machine& m, Addr dest, const char* src, std::uint64_
     if (c == 0) {
       m.tick();
       if (cursor != nullptr) ++*cursor;
-      as.store8(dest + i, static_cast<std::uint8_t>(src[i]));  // throws the write fault
+      if (!as.try_store8(dest + i, static_cast<std::uint8_t>(src[i]))) return;  // the write fault
       ++i;
       continue;
     }
@@ -222,10 +236,7 @@ inline std::uint64_t copy_cstr(mem::Machine& m, Addr dest, Addr src) {
                                as.span_extent(dest + i, Perm::kWrite));
     if (gap != 0) c = std::min(c, gap);
     if (c == 0) {
-      m.tick();
-      const std::uint8_t byte = as.load8(src + i);
-      as.store8(dest + i, byte);
-      if (byte == 0) return i;  // unreachable: a zero extent cannot store
+      if (!replay_copy(m, dest + i, src + i)) return 0;  // a zero extent faults
       ++i;
       continue;
     }
@@ -256,11 +267,8 @@ inline std::uint64_t copy_cstr_bounded(mem::Machine& m, Addr dest, Addr src, std
     c = std::min(c, cap - i);
     if (gap != 0) c = std::min(c, gap);
     if (c == 0) {
-      m.tick();
-      const std::uint8_t byte = as.load8(src + i);
-      as.store8(dest + i, byte);
+      if (!replay_copy(m, dest + i, src + i)) return 0;  // a zero extent faults
       ++i;
-      if (byte == 0) return i;  // unreachable, as in copy_cstr
       continue;
     }
     const std::byte* sp = as.span(src + i, c, Perm::kRead);
@@ -296,8 +304,8 @@ inline std::int64_t compare(mem::Machine& m, Addr a, Addr b, std::uint64_t cap,
     c = std::min(c, cap - i);
     if (c == 0) {
       m.tick();
-      (void)as.load8(a + i);  // one of the two streams must fault here
-      (void)as.load8(b + i);
+      std::uint8_t byte = 0;  // one of the two streams must fault here
+      if (!as.try_load8(a + i, byte) || !as.try_load8(b + i, byte)) return 0;
       ++i;
       continue;
     }
@@ -352,7 +360,7 @@ inline std::uint64_t find_byte(mem::Machine& m, Addr s, std::uint8_t target, std
     const std::uint64_t extent = as.span_extent(s + i, Perm::kRead);
     if (extent == 0) {
       replay_load(m, s + i);
-      continue;
+      return 0;
     }
     const std::uint64_t c = std::min(extent, cap - i);
     const std::byte* p = as.span(s + i, c, Perm::kRead);

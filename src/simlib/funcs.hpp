@@ -7,6 +7,11 @@
 // semantics — crash on NULL, overrun short buffers silently, wrap on
 // overflow — because those behaviours are what the HEALERS fault injector
 // must rediscover and what the generated wrappers must contain.
+//
+// Fault rule: a crash is an access through a try_ accessor (or a helper in
+// bulk.hpp) that latches the fault in the machine. The function then
+// returns fault_return() at once — no further tick, store, errno write or
+// LibState change — and the linker reaps or rethrows the latch.
 #pragma once
 
 #include <initializer_list>
@@ -27,6 +32,10 @@ void register_sort_funcs(SharedLibrary& lib);
 void register_math_funcs(SharedLibrary& lib);
 
 namespace detail {
+
+// What a function returns when it stops at a latched fault. Nobody reads
+// it: the dispatcher takes the fault from the machine instead.
+[[nodiscard]] inline SimValue fault_return() { return SimValue::integer(0); }
 
 // Builds a Symbol with a canonical man page:
 //   NAME / <name> - <summary>
@@ -54,7 +63,8 @@ inline constexpr std::uint8_t kCtCntrl = 0x40;
 
 // printf-engine shared by sprintf/snprintf/fprintf: formats `fmt` (a
 // simulated address) with ctx.args starting at `first_vararg`. Appends to
-// `out`. Faithfully fragile: %s chases the pointer without checks.
+// `out`. Faithfully fragile: %s chases the pointer without checks. Returns
+// early with the fault latched when an access faults.
 void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std::string& out);
 
 }  // namespace detail

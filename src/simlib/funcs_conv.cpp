@@ -3,6 +3,7 @@
 // silent wrap, crash on NULL); the strto* functions are robust-by-spec in
 // everything except the string pointer itself, which mirrors real libcs and
 // gives the fault injector a contrast class.
+#include <algorithm>
 #include <cmath>
 
 #include "simlib/cerrno.hpp"
@@ -13,6 +14,7 @@ namespace healers::simlib {
 
 namespace {
 
+using detail::fault_return;
 using detail::make_symbol;
 using mem::Addr;
 using mem::AddressSpace;
@@ -31,8 +33,10 @@ int digit_value(std::uint8_t byte, int base) {
 }
 
 // Core integer scan shared by atoi/atol/strtol/strtoul. Returns the value
-// (wrapped, no range handling) and reports the end position and whether any
-// digit was consumed; range handling is layered on by strto*.
+// (wrapped, no range handling) and reports the end position, whether any
+// digit was consumed and whether the magnitude overflowed 64 bits; range
+// handling is layered on by strto*. Returns early with the fault latched
+// when a load faults.
 struct ScanResult {
   std::uint64_t magnitude = 0;
   bool negative = false;
@@ -45,38 +49,54 @@ ScanResult scan_int(CallContext& ctx, Addr s, int base) {
   AddressSpace& as = ctx.machine.mem();
   ScanResult r;
   Addr p = s;
+  std::uint8_t byte = 0;
   while (true) {
     ctx.machine.tick();
-    if (!is_space_byte(as.load8(p))) break;
+    if (!as.try_load8(p, byte)) return r;
+    if (!is_space_byte(byte)) break;
     ++p;
   }
-  const std::uint8_t sign = as.load8(p);
+  std::uint8_t sign = 0;
+  if (!as.try_load8(p, sign)) return r;
   if (sign == '-' || sign == '+') {
     r.negative = sign == '-';
     ++p;
   }
-  if ((base == 0 || base == 16) && as.load8(p) == '0') {
-    const std::uint8_t next = as.load8(p + 1);
-    if (next == 'x' || next == 'X') {
-      // "0x" prefix counts only when a hex digit follows.
-      if (digit_value(as.load8(p + 2), 16) >= 0) {
-        p += 2;
-        base = 16;
+  if (base == 0 || base == 16) {
+    std::uint8_t lead = 0;
+    if (!as.try_load8(p, lead)) return r;
+    if (lead == '0') {
+      std::uint8_t next = 0;
+      if (!as.try_load8(p + 1, next)) return r;
+      if (next == 'x' || next == 'X') {
+        // "0x" prefix counts only when a hex digit follows.
+        std::uint8_t after = 0;
+        if (!as.try_load8(p + 2, after)) return r;
+        if (digit_value(after, 16) >= 0) {
+          p += 2;
+          base = 16;
+        } else if (base == 0) {
+          base = 8;
+        }
       } else if (base == 0) {
         base = 8;
       }
-    } else if (base == 0) {
-      base = 8;
     }
   }
   if (base == 0) base = 10;
   while (true) {
     ctx.machine.tick();
-    const int digit = digit_value(as.load8(p), base);
+    if (!as.try_load8(p, byte)) return r;
+    const int digit = digit_value(byte, base);
     if (digit < 0) break;
-    const std::uint64_t prev = r.magnitude;
-    r.magnitude = r.magnitude * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
-    if (r.magnitude < prev) r.overflowed = true;
+    // The magnitude wraps (atoi's silent wrap); a wrap in either step is an
+    // overflow.
+    std::uint64_t product = 0;
+    const bool mul_wrapped =
+        __builtin_mul_overflow(r.magnitude, static_cast<std::uint64_t>(base), &product);
+    const bool add_wrapped =
+        __builtin_add_overflow(product, static_cast<std::uint64_t>(digit), &r.magnitude);
+    r.overflowed = r.overflowed || mul_wrapped || add_wrapped;
     r.any_digit = true;
     ++p;
   }
@@ -101,12 +121,13 @@ SimValue fn_strtol(CallContext& ctx) {
   const int base = static_cast<int>(ctx.arg_int(2));
   if (base != 0 && (base < 2 || base > 36)) {
     ctx.machine.set_err(kEINVAL);
-    if (endptr != 0) ctx.machine.mem().store64(endptr, s);
+    if (endptr != 0 && !ctx.machine.mem().try_store64(endptr, s)) return fault_return();
     return SimValue::integer(0);
   }
   const ScanResult r = scan_int(ctx, s, base);
-  if (endptr != 0) {
-    ctx.machine.mem().store64(endptr, r.any_digit ? r.end : s);
+  if (ctx.machine.faulted()) return fault_return();
+  if (endptr != 0 && !ctx.machine.mem().try_store64(endptr, r.any_digit ? r.end : s)) {
+    return fault_return();
   }
   constexpr std::uint64_t kMaxPos = 0x7fffffffffffffffULL;
   if (r.overflowed || r.magnitude > (r.negative ? kMaxPos + 1 : kMaxPos)) {
@@ -123,12 +144,13 @@ SimValue fn_strtoul(CallContext& ctx) {
   const int base = static_cast<int>(ctx.arg_int(2));
   if (base != 0 && (base < 2 || base > 36)) {
     ctx.machine.set_err(kEINVAL);
-    if (endptr != 0) ctx.machine.mem().store64(endptr, s);
+    if (endptr != 0 && !ctx.machine.mem().try_store64(endptr, s)) return fault_return();
     return SimValue::integer(0);
   }
   const ScanResult r = scan_int(ctx, s, base);
-  if (endptr != 0) {
-    ctx.machine.mem().store64(endptr, r.any_digit ? r.end : s);
+  if (ctx.machine.faulted()) return fault_return();
+  if (endptr != 0 && !ctx.machine.mem().try_store64(endptr, r.any_digit ? r.end : s)) {
+    return fault_return();
   }
   if (r.overflowed) {
     ctx.machine.set_err(kERANGE);
@@ -143,33 +165,36 @@ SimValue fn_strtod(CallContext& ctx) {
   const Addr s = ctx.arg_ptr(0);
   const Addr endptr = ctx.arg_ptr(1);
   Addr p = s;
+  std::uint8_t byte = 0;
   while (true) {
     ctx.machine.tick();
-    if (!is_space_byte(as.load8(p))) break;
+    if (!as.try_load8(p, byte)) return fault_return();
+    if (!is_space_byte(byte)) break;
     ++p;
   }
   bool negative = false;
-  const std::uint8_t sign = as.load8(p);
-  if (sign == '-' || sign == '+') {
-    negative = sign == '-';
+  if (!as.try_load8(p, byte)) return fault_return();
+  if (byte == '-' || byte == '+') {
+    negative = byte == '-';
     ++p;
   }
   double value = 0.0;
   bool any = false;
   while (true) {
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(p);
+    if (!as.try_load8(p, byte)) return fault_return();
     if (byte < '0' || byte > '9') break;
     value = value * 10.0 + (byte - '0');
     any = true;
     ++p;
   }
-  if (as.load8(p) == '.') {
+  if (!as.try_load8(p, byte)) return fault_return();
+  if (byte == '.') {
     ++p;
     double scale = 0.1;
     while (true) {
       ctx.machine.tick();
-      const std::uint8_t byte = as.load8(p);
+      if (!as.try_load8(p, byte)) return fault_return();
       if (byte < '0' || byte > '9') break;
       value += (byte - '0') * scale;
       scale *= 0.1;
@@ -177,30 +202,37 @@ SimValue fn_strtod(CallContext& ctx) {
       ++p;
     }
   }
-  if (any && (as.load8(p) == 'e' || as.load8(p) == 'E')) {
-    Addr q = p + 1;
-    bool exp_neg = false;
-    const std::uint8_t esign = as.load8(q);
-    if (esign == '-' || esign == '+') {
-      exp_neg = esign == '-';
-      ++q;
-    }
-    int exponent = 0;
-    bool exp_any = false;
-    while (true) {
-      ctx.machine.tick();
-      const std::uint8_t byte = as.load8(q);
-      if (byte < '0' || byte > '9') break;
-      exponent = exponent * 10 + (byte - '0');
-      exp_any = true;
-      ++q;
-    }
-    if (exp_any) {
-      value *= std::pow(10.0, exp_neg ? -exponent : exponent);
-      p = q;
+  if (any) {
+    if (!as.try_load8(p, byte)) return fault_return();
+    if (byte == 'e' || byte == 'E') {
+      Addr q = p + 1;
+      bool exp_neg = false;
+      std::uint8_t esign = 0;
+      if (!as.try_load8(q, esign)) return fault_return();
+      if (esign == '-' || esign == '+') {
+        exp_neg = esign == '-';
+        ++q;
+      }
+      // Saturates: any exponent past kMaxExponent already overflows a
+      // double to inf (or underflows it to 0).
+      constexpr int kMaxExponent = 99999;
+      int exponent = 0;
+      bool exp_any = false;
+      while (true) {
+        ctx.machine.tick();
+        if (!as.try_load8(q, byte)) return fault_return();
+        if (byte < '0' || byte > '9') break;
+        exponent = std::min(exponent * 10 + (byte - '0'), kMaxExponent);
+        exp_any = true;
+        ++q;
+      }
+      if (exp_any) {
+        value *= std::pow(10.0, exp_neg ? -exponent : exponent);
+        p = q;
+      }
     }
   }
-  if (endptr != 0) as.store64(endptr, any ? p : s);
+  if (endptr != 0 && !as.try_store64(endptr, any ? p : s)) return fault_return();
   if (std::isinf(value)) ctx.machine.set_err(kERANGE);
   return SimValue::fp(negative ? -value : value);
 }

@@ -14,14 +14,21 @@ namespace healers::simlib {
 
 namespace {
 
+using detail::fault_return;
 using detail::make_symbol;
 using mem::Addr;
 
-SimValue classify(CallContext& ctx, std::uint8_t mask) {
+// table[c] with no range check: a wild c faults out of the table region.
+// False with the fault latched then.
+bool lookup(CallContext& ctx, std::int64_t c, std::uint8_t& bits) {
   const Addr table = detail::ctype_table(ctx);
-  const std::int64_t c = ctx.arg_int(0);
   ctx.machine.tick();
-  const std::uint8_t bits = ctx.machine.mem().load8(table + static_cast<std::uint64_t>(c));
+  return ctx.machine.mem().try_load8(table + static_cast<std::uint64_t>(c), bits);
+}
+
+SimValue classify(CallContext& ctx, std::uint8_t mask) {
+  std::uint8_t bits = 0;
+  if (!lookup(ctx, ctx.arg_int(0), bits)) return fault_return();
   return SimValue::integer((bits & mask) != 0 ? 1 : 0);
 }
 
@@ -38,18 +45,16 @@ SimValue fn_isalnum(CallContext& ctx) {
 }
 
 SimValue fn_toupper(CallContext& ctx) {
-  const Addr table = detail::ctype_table(ctx);
   const std::int64_t c = ctx.arg_int(0);
-  ctx.machine.tick();
-  const std::uint8_t bits = ctx.machine.mem().load8(table + static_cast<std::uint64_t>(c));
+  std::uint8_t bits = 0;
+  if (!lookup(ctx, c, bits)) return fault_return();
   return SimValue::integer((bits & detail::kCtLower) != 0 ? c - 32 : c);
 }
 
 SimValue fn_tolower(CallContext& ctx) {
-  const Addr table = detail::ctype_table(ctx);
   const std::int64_t c = ctx.arg_int(0);
-  ctx.machine.tick();
-  const std::uint8_t bits = ctx.machine.mem().load8(table + static_cast<std::uint64_t>(c));
+  std::uint8_t bits = 0;
+  if (!lookup(ctx, c, bits)) return fault_return();
   return SimValue::integer((bits & detail::kCtUpper) != 0 ? c + 32 : c);
 }
 
@@ -57,7 +62,8 @@ SimValue fn_tolower(CallContext& ctx) {
 // wctrans_t values: 1 = tolower, 2 = toupper, 0 = invalid.
 SimValue fn_wctrans(CallContext& ctx) {
   // Crashes on NULL / non-string input: read_cstring chases the pointer.
-  const std::string name = ctx.machine.mem().read_cstring(ctx.arg_ptr(0));
+  std::string name;
+  if (!ctx.machine.mem().try_read_cstring(ctx.arg_ptr(0), name)) return fault_return();
   ctx.machine.tick(name.size() + 1);
   if (name == "tolower") return SimValue::integer(1);
   if (name == "toupper") return SimValue::integer(2);
@@ -81,7 +87,8 @@ SimValue fn_towctrans(CallContext& ctx) {
 
 // wctype_t values: 1..6 for the classes we model, 0 = invalid.
 SimValue fn_wctype(CallContext& ctx) {
-  const std::string name = ctx.machine.mem().read_cstring(ctx.arg_ptr(0));
+  std::string name;
+  if (!ctx.machine.mem().try_read_cstring(ctx.arg_ptr(0), name)) return fault_return();
   ctx.machine.tick(name.size() + 1);
   if (name == "alpha") return SimValue::integer(1);
   if (name == "digit") return SimValue::integer(2);

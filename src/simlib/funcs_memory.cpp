@@ -83,6 +83,7 @@ SimValue fn_calloc(CallContext& ctx) {
 SimValue fn_realloc(CallContext& ctx) {
   ctx.machine.tick(8);
   const Addr p = ctx.machine.heap().realloc(ctx.arg_ptr(0), ctx.arg_size(1));
+  if (ctx.machine.faulted()) return detail::fault_return();
   if (p == 0 && ctx.arg_size(1) != 0) ctx.machine.set_err(kENOMEM);
   return SimValue::ptr(p);
 }

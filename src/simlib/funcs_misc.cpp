@@ -9,11 +9,13 @@ namespace healers::simlib {
 
 namespace {
 
+using detail::fault_return;
 using detail::make_symbol;
 using mem::Addr;
 
 SimValue fn_getenv(CallContext& ctx) {
-  const std::string name = ctx.machine.mem().read_cstring(ctx.arg_ptr(0));
+  std::string name;
+  if (!ctx.machine.mem().try_read_cstring(ctx.arg_ptr(0), name)) return fault_return();
   ctx.machine.tick(name.size() + 1);
   auto it = ctx.state.env.find(name);
   if (it == ctx.state.env.end()) return SimValue::null();

@@ -15,30 +15,38 @@ namespace healers::simlib {
 
 namespace {
 
+using detail::fault_return;
 using detail::make_symbol;
 using mem::Addr;
 using mem::AddressSpace;
 
-// Invokes the comparator at `code` on element addresses (a, b).
+// Invokes the comparator at `code` on element addresses (a, b). A jump
+// through a bad function pointer latches the crash, as does a fault inside
+// the comparator; the result is meaningless then (test Machine::faulted()).
 int call_comparator(CallContext& ctx, Addr code, Addr a, Addr b) {
   ctx.machine.tick(2);
   auto it = ctx.state.callbacks.find(code);
   if (it == ctx.state.callbacks.end()) {
-    // Jump through a bad function pointer.
-    throw AccessFault(FaultKind::kSegv, code, "call through invalid function pointer");
+    ctx.machine.mem().latch_fault(FaultKind::kSegv, code, "call through invalid function pointer");
+    return 0;
   }
   CallContext sub{ctx.machine, ctx.state, {SimValue::ptr(a), SimValue::ptr(b)}};
   return static_cast<int>(it->second(sub).as_int());
 }
 
-void swap_elements(CallContext& ctx, Addr a, Addr b, std::uint64_t size) {
+// False with the fault latched when an access faults.
+bool swap_elements(CallContext& ctx, Addr a, Addr b, std::uint64_t size) {
   AddressSpace& as = ctx.machine.mem();
   for (std::uint64_t i = 0; i < size; ++i) {
+    std::uint8_t tmp = 0;
+    std::uint8_t other = 0;
     ctx.machine.tick();
-    const std::uint8_t tmp = as.load8(a + i);
-    as.store8(a + i, as.load8(b + i));
-    as.store8(b + i, tmp);
+    if (!as.try_load8(a + i, tmp) || !as.try_load8(b + i, other) ||
+        !as.try_store8(a + i, other) || !as.try_store8(b + i, tmp)) {
+      return false;
+    }
   }
+  return true;
 }
 
 SimValue fn_qsort(CallContext& ctx) {
@@ -47,7 +55,9 @@ SimValue fn_qsort(CallContext& ctx) {
   const std::uint64_t size = ctx.arg_size(2);
   const Addr compar = ctx.arg_ptr(3);
   if (nmemb < 2) {
-    if (nmemb == 1) ctx.machine.mem().check(base, size, mem::Perm::kRead);
+    if (nmemb == 1 && !ctx.machine.mem().try_check(base, size, mem::Perm::kRead)) {
+      return fault_return();
+    }
     return SimValue::integer(0);
   }
   // Insertion sort: simple, stable enough for libc semantics, and every
@@ -57,8 +67,10 @@ SimValue fn_qsort(CallContext& ctx) {
       ctx.machine.tick();
       const Addr prev = base + (j - 1) * size;
       const Addr cur = base + j * size;
-      if (call_comparator(ctx, compar, prev, cur) <= 0) break;
-      swap_elements(ctx, prev, cur, size);
+      const int cmp = call_comparator(ctx, compar, prev, cur);
+      if (ctx.machine.faulted()) return fault_return();
+      if (cmp <= 0) break;
+      if (!swap_elements(ctx, prev, cur, size)) return fault_return();
     }
   }
   return SimValue::integer(0);
@@ -76,6 +88,7 @@ SimValue fn_bsearch(CallContext& ctx) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     const Addr elem = base + mid * size;
     const int cmp = call_comparator(ctx, compar, key, elem);
+    if (ctx.machine.faulted()) return fault_return();
     if (cmp == 0) return SimValue::ptr(elem);
     if (cmp < 0) {
       hi = mid;

@@ -17,30 +17,39 @@ namespace healers::simlib {
 
 namespace {
 
+using detail::fault_return;
 using detail::make_symbol;
 using mem::Addr;
 using mem::AddressSpace;
 
-OpenFile& file_of(CallContext& ctx, Addr file_ptr) {
+// The open stream behind a FILE*, or nullptr with the crash latched.
+OpenFile* file_of(CallContext& ctx, Addr file_ptr) {
   AddressSpace& as = ctx.machine.mem();
   ctx.machine.tick(2);
-  const std::uint64_t magic = as.load64(file_ptr);  // faults on garbage pointers
+  std::uint64_t magic = 0;
+  if (!as.try_load64(file_ptr, magic)) return nullptr;  // garbage pointers fault
   if (magic != kFileMagic) {
     // The simulated library chases internal pointers of what it believes is
     // a FILE; wrong magic means those "pointers" are garbage.
-    throw AccessFault(FaultKind::kSegv, file_ptr, "not a FILE object");
+    as.latch_fault(FaultKind::kSegv, file_ptr, "not a FILE object");
+    return nullptr;
   }
-  const std::uint64_t index = as.load64(file_ptr + 8);
+  std::uint64_t index = 0;
+  if (!as.try_load64(file_ptr + 8, index)) return nullptr;
   if (index >= ctx.state.open_files.size() || !ctx.state.open_files[index].live) {
-    throw AccessFault(FaultKind::kSegv, file_ptr, "stale FILE object (closed stream)");
+    as.latch_fault(FaultKind::kSegv, file_ptr, "stale FILE object (closed stream)");
+    return nullptr;
   }
-  return ctx.state.open_files[index];
+  return &ctx.state.open_files[index];
 }
 
 SimValue fn_fopen(CallContext& ctx) {
   AddressSpace& as = ctx.machine.mem();
-  const std::string path = as.read_cstring(ctx.arg_ptr(0));
-  const std::string mode = as.read_cstring(ctx.arg_ptr(1));
+  std::string path;
+  std::string mode;
+  if (!as.try_read_cstring(ctx.arg_ptr(0), path) || !as.try_read_cstring(ctx.arg_ptr(1), mode)) {
+    return fault_return();
+  }
   ctx.machine.tick(path.size() + mode.size() + 4);
 
   bool readable = false;
@@ -101,9 +110,10 @@ SimValue fn_fopen(CallContext& ctx) {
 
 SimValue fn_fclose(CallContext& ctx) {
   const Addr file_ptr = ctx.arg_ptr(0);
-  OpenFile& file = file_of(ctx, file_ptr);
-  file.live = false;
-  ctx.machine.heap().free(file.file_obj);
+  OpenFile* file = file_of(ctx, file_ptr);
+  if (file == nullptr) return fault_return();
+  file->live = false;
+  ctx.machine.heap().free(file->file_obj);
   return SimValue::integer(0);
 }
 
@@ -111,25 +121,27 @@ SimValue fn_fread(CallContext& ctx) {
   const Addr buf = ctx.arg_ptr(0);
   const std::uint64_t size = ctx.arg_size(1);
   const std::uint64_t nmemb = ctx.arg_size(2);
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(3));
-  if (!file.readable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(3));
+  if (file == nullptr) return fault_return();
+  if (!file->readable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::integer(0);
   }
-  const std::string* data = ctx.state.fs.contents(file.path);
+  const std::string* data = ctx.state.fs.contents(file->path);
   if (data == nullptr) {
     ctx.machine.set_err(kEIO);
     return SimValue::integer(0);
   }
   std::uint64_t done = 0;
   for (; done < nmemb; ++done) {
-    if (file.pos + size > data->size()) break;
-    // file.pos only advances once the whole member landed, so a mid-member
+    if (file->pos + size > data->size()) break;
+    // file->pos only advances once the whole member landed, so a mid-member
     // fault leaves the stream position untouched, as in the byte loop.
-    bulk::store_host(ctx.machine, buf + done * size, data->data() + file.pos, size);
-    file.pos += size;
+    bulk::store_host(ctx.machine, buf + done * size, data->data() + file->pos, size);
+    if (ctx.machine.faulted()) return fault_return();
+    file->pos += size;
   }
-  if (done < nmemb) file.eof = true;
+  if (done < nmemb) file->eof = true;
   return SimValue::integer(static_cast<std::int64_t>(done));
 }
 
@@ -138,19 +150,20 @@ SimValue fn_fwrite(CallContext& ctx) {
   const Addr buf = ctx.arg_ptr(0);
   const std::uint64_t size = ctx.arg_size(1);
   const std::uint64_t nmemb = ctx.arg_size(2);
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(3));
-  if (!file.writable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(3));
+  if (file == nullptr) return fault_return();
+  if (!file->writable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::integer(0);
   }
-  std::string* data = ctx.state.fs.contents_mut(file.path);
+  std::string* data = ctx.state.fs.contents_mut(file->path);
   if (data == nullptr) {
     ctx.machine.set_err(kEIO);
     return SimValue::integer(0);
   }
   // Chunk within each member rather than over a size*nmemb product: the
   // product wraps for fuzzed huge size/nmemb pairs, which must keep walking
-  // (and faulting) like the reference nested loops. file.pos advances per
+  // (and faulting) like the reference nested loops. file->pos advances per
   // committed byte, and the load faults before the stream is touched.
   for (std::uint64_t m = 0; m < nmemb; ++m) {
     const Addr base = buf + m * size;
@@ -159,17 +172,15 @@ SimValue fn_fwrite(CallContext& ctx) {
       const std::uint64_t c =
           std::min(as.span_extent(base + i, mem::Perm::kRead), size - i);
       if (c == 0) {
-        ctx.machine.tick();
-        (void)as.load8(base + i);  // throws the read fault
-        ++i;
-        continue;
+        bulk::replay_load(ctx.machine, base + i);  // the read fault
+        return fault_return();
       }
       const std::uint64_t w = ctx.machine.budget_units(c);
       if (w != 0) {
         const std::byte* p = as.span(base + i, w, mem::Perm::kRead);
-        if (file.pos + w > data->size()) data->resize(file.pos + w);
-        std::memcpy(&(*data)[file.pos], p, w);
-        file.pos += w;
+        if (file->pos + w > data->size()) data->resize(file->pos + w);
+        std::memcpy(&(*data)[file->pos], p, w);
+        file->pos += w;
       }
       bulk::settle(ctx.machine, w, c);
       i += c;
@@ -182,39 +193,42 @@ SimValue fn_fgets(CallContext& ctx) {
   AddressSpace& as = ctx.machine.mem();
   const Addr buf = ctx.arg_ptr(0);
   const std::int64_t n = ctx.arg_int(1);
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(2));
-  if (!file.readable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(2));
+  if (file == nullptr) return fault_return();
+  if (!file->readable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::null();
   }
-  const std::string* data = ctx.state.fs.contents(file.path);
-  if (data == nullptr || n <= 0 || file.pos >= data->size()) {
-    file.eof = true;
+  const std::string* data = ctx.state.fs.contents(file->path);
+  if (data == nullptr || n <= 0 || file->pos >= data->size()) {
+    file->eof = true;
     return SimValue::null();
   }
   // Stop at newline (stored), buffer capacity, or end of data — whichever
-  // first. file.pos advances per consumed byte before the store, so a
+  // first. file->pos advances per consumed byte before the store, so a
   // faulting store still leaves the byte consumed, as in the byte loop.
   const std::uint64_t limit =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(n - 1), data->size() - file.pos);
-  const char* src = data->data() + file.pos;
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(n - 1), data->size() - file->pos);
+  const char* src = data->data() + file->pos;
   const void* nl = std::memchr(src, '\n', limit);
   const std::uint64_t want =
       nl != nullptr ? static_cast<std::uint64_t>(static_cast<const char*>(nl) - src) + 1 : limit;
-  bulk::store_host(ctx.machine, buf, src, want, &file.pos);
-  as.store8(buf + want, 0);  // unticked, as in the reference epilogue
+  bulk::store_host(ctx.machine, buf, src, want, &file->pos);
+  // Unticked, as in the reference epilogue.
+  if (ctx.machine.faulted() || !as.try_store8(buf + want, 0)) return fault_return();
   return SimValue::ptr(buf);
 }
 
 SimValue fn_fputs(CallContext& ctx) {
   AddressSpace& as = ctx.machine.mem();
   const Addr s = ctx.arg_ptr(0);
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(1));
-  if (!file.writable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(1));
+  if (file == nullptr) return fault_return();
+  if (!file->writable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::integer(-1);
   }
-  std::string* data = ctx.state.fs.contents_mut(file.path);
+  std::string* data = ctx.state.fs.contents_mut(file->path);
   if (data == nullptr) {
     ctx.machine.set_err(kEIO);
     return SimValue::integer(-1);
@@ -226,7 +240,7 @@ SimValue fn_fputs(CallContext& ctx) {
     const std::uint64_t extent = as.span_extent(s + i, mem::Perm::kRead);
     if (extent == 0) {
       bulk::replay_load(ctx.machine, s + i);
-      continue;
+      return fault_return();
     }
     const std::byte* p = as.span(s + i, extent, mem::Perm::kRead);
     const void* hit = std::memchr(p, 0, extent);
@@ -237,9 +251,9 @@ SimValue fn_fputs(CallContext& ctx) {
     const std::uint64_t w = ctx.machine.budget_units(want);
     const std::uint64_t bytes = std::min(w, k);
     if (bytes != 0) {
-      if (file.pos + bytes > data->size()) data->resize(file.pos + bytes);
-      std::memcpy(&(*data)[file.pos], p, bytes);
-      file.pos += bytes;
+      if (file->pos + bytes > data->size()) data->resize(file->pos + bytes);
+      std::memcpy(&(*data)[file->pos], p, bytes);
+      file->pos += bytes;
     }
     bulk::settle(ctx.machine, w, want);
     if (hit != nullptr) break;
@@ -249,63 +263,69 @@ SimValue fn_fputs(CallContext& ctx) {
 }
 
 SimValue fn_fgetc(CallContext& ctx) {
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(0));
-  if (!file.readable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(0));
+  if (file == nullptr) return fault_return();
+  if (!file->readable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::integer(-1);
   }
-  const std::string* data = ctx.state.fs.contents(file.path);
+  const std::string* data = ctx.state.fs.contents(file->path);
   ctx.machine.tick();
-  if (data == nullptr || file.pos >= data->size()) {
-    file.eof = true;
+  if (data == nullptr || file->pos >= data->size()) {
+    file->eof = true;
     return SimValue::integer(-1);  // EOF
   }
-  return SimValue::integer(static_cast<std::uint8_t>((*data)[file.pos++]));
+  return SimValue::integer(static_cast<std::uint8_t>((*data)[file->pos++]));
 }
 
 SimValue fn_fputc(CallContext& ctx) {
   const auto byte = static_cast<char>(ctx.arg_int(0));
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(1));
-  if (!file.writable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(1));
+  if (file == nullptr) return fault_return();
+  if (!file->writable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::integer(-1);
   }
-  std::string* data = ctx.state.fs.contents_mut(file.path);
+  std::string* data = ctx.state.fs.contents_mut(file->path);
   if (data == nullptr) {
     ctx.machine.set_err(kEIO);
     return SimValue::integer(-1);
   }
   ctx.machine.tick();
-  if (file.pos >= data->size()) data->resize(file.pos + 1);
-  (*data)[file.pos++] = byte;
+  if (file->pos >= data->size()) data->resize(file->pos + 1);
+  (*data)[file->pos++] = byte;
   return SimValue::integer(static_cast<std::uint8_t>(byte));
 }
 
 SimValue fn_feof(CallContext& ctx) {
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(0));
-  return SimValue::integer(file.eof ? 1 : 0);
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(0));
+  if (file == nullptr) return fault_return();
+  return SimValue::integer(file->eof ? 1 : 0);
 }
 
 SimValue fn_fflush(CallContext& ctx) {
-  if (ctx.arg_ptr(0) != 0) (void)file_of(ctx, ctx.arg_ptr(0));
+  if (ctx.arg_ptr(0) != 0 && file_of(ctx, ctx.arg_ptr(0)) == nullptr) return fault_return();
   ctx.machine.tick();
   return SimValue::integer(0);
 }
 
 SimValue fn_ftell(CallContext& ctx) {
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(0));
-  return SimValue::integer(static_cast<std::int64_t>(file.pos));
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(0));
+  if (file == nullptr) return fault_return();
+  return SimValue::integer(static_cast<std::int64_t>(file->pos));
 }
 
 SimValue fn_rewind(CallContext& ctx) {
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(0));
-  file.pos = 0;
-  file.eof = false;
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(0));
+  if (file == nullptr) return fault_return();
+  file->pos = 0;
+  file->eof = false;
   return SimValue::integer(0);
 }
 
 SimValue fn_remove(CallContext& ctx) {
-  const std::string path = ctx.machine.mem().read_cstring(ctx.arg_ptr(0));
+  std::string path;
+  if (!ctx.machine.mem().try_read_cstring(ctx.arg_ptr(0), path)) return fault_return();
   ctx.machine.tick(path.size() + 1);
   if (!ctx.state.fs.exists(path)) {
     ctx.machine.set_err(kENOENT);
@@ -316,21 +336,23 @@ SimValue fn_remove(CallContext& ctx) {
 }
 
 SimValue fn_fprintf(CallContext& ctx) {
-  OpenFile& file = file_of(ctx, ctx.arg_ptr(0));
-  if (!file.writable) {
+  OpenFile* file = file_of(ctx, ctx.arg_ptr(0));
+  if (file == nullptr) return fault_return();
+  if (!file->writable) {
     ctx.machine.set_err(kEBADF);
     return SimValue::integer(-1);
   }
   std::string out;
   detail::format_into(ctx, ctx.arg_ptr(1), 2, out);
-  std::string* data = ctx.state.fs.contents_mut(file.path);
+  if (ctx.machine.faulted()) return fault_return();
+  std::string* data = ctx.state.fs.contents_mut(file->path);
   if (data == nullptr) {
     ctx.machine.set_err(kEIO);
     return SimValue::integer(-1);
   }
   for (const char byte : out) {
-    if (file.pos >= data->size()) data->resize(file.pos + 1);
-    (*data)[file.pos++] = byte;
+    if (file->pos >= data->size()) data->resize(file->pos + 1);
+    (*data)[file->pos++] = byte;
   }
   return SimValue::integer(static_cast<std::int64_t>(out.size()));
 }
@@ -340,9 +362,11 @@ SimValue fn_sprintf(CallContext& ctx) {
   const Addr dest = ctx.arg_ptr(0);
   std::string out;
   detail::format_into(ctx, ctx.arg_ptr(1), 2, out);
+  if (ctx.machine.faulted()) return fault_return();
   // Unbounded write: the classic overflow vector.
   bulk::store_host(ctx.machine, dest, out.data(), out.size());
-  as.store8(dest + out.size(), 0);  // unticked, as in the reference epilogue
+  // Unticked, as in the reference epilogue.
+  if (ctx.machine.faulted() || !as.try_store8(dest + out.size(), 0)) return fault_return();
   return SimValue::integer(static_cast<std::int64_t>(out.size()));
 }
 
@@ -352,10 +376,12 @@ SimValue fn_snprintf(CallContext& ctx) {
   const std::uint64_t cap = ctx.arg_size(1);
   std::string out;
   detail::format_into(ctx, ctx.arg_ptr(2), 3, out);
+  if (ctx.machine.faulted()) return fault_return();
   if (cap > 0) {
     const std::uint64_t n = std::min<std::uint64_t>(out.size(), cap - 1);
     bulk::store_host(ctx.machine, dest, out.data(), n);
-    as.store8(dest + n, 0);  // unticked, as in the reference epilogue
+    // Unticked, as in the reference epilogue.
+    if (ctx.machine.faulted() || !as.try_store8(dest + n, 0)) return fault_return();
   }
   return SimValue::integer(static_cast<std::int64_t>(out.size()));
 }
@@ -374,11 +400,13 @@ SimValue fn_gets(CallContext& ctx) {
   const std::uint64_t stored =
       nl != nullptr ? static_cast<std::uint64_t>(static_cast<const char*>(nl) - src) : avail;
   bulk::store_host(ctx.machine, dest, src, stored, &st.stdin_pos);
+  if (ctx.machine.faulted()) return fault_return();
   if (nl != nullptr) {
     ctx.machine.tick();  // the newline iteration: may hang before consuming
     ++st.stdin_pos;
   }
-  as.store8(dest + stored, 0);  // unticked, as in the reference epilogue
+  // Unticked, as in the reference epilogue.
+  if (!as.try_store8(dest + stored, 0)) return fault_return();
   return SimValue::ptr(dest);
 }
 
@@ -397,7 +425,7 @@ SimValue fn_puts(CallContext& ctx) {
     const std::uint64_t extent = as.span_extent(s + i, mem::Perm::kRead);
     if (extent == 0) {
       bulk::replay_load(ctx.machine, s + i);
-      continue;
+      return fault_return();
     }
     const std::byte* p = as.span(s + i, extent, mem::Perm::kRead);
     const void* hit = std::memchr(p, 0, extent);
@@ -418,6 +446,7 @@ SimValue fn_puts(CallContext& ctx) {
 SimValue fn_printf(CallContext& ctx) {
   std::string out;
   detail::format_into(ctx, ctx.arg_ptr(0), 1, out);
+  if (ctx.machine.faulted()) return fault_return();
   ctx.state.stdout_capture += out;
   return SimValue::integer(static_cast<std::int64_t>(out.size()));
 }

@@ -16,6 +16,7 @@ namespace healers::simlib {
 
 namespace {
 
+using detail::fault_return;
 using detail::make_symbol;
 using mem::Addr;
 using mem::AddressSpace;
@@ -23,6 +24,18 @@ using mem::AddressSpace;
 // strlen core: scan until NUL, ticking per byte (bulked, oracle-identical).
 std::uint64_t scan_len(CallContext& ctx, Addr s) {
   return bulk::scan_len(ctx.machine, s);
+}
+
+// Whether `byte` is in the NUL-terminated set at `set`, ticking once per set
+// byte examined. False with the fault latched when the set faults.
+bool in_set(CallContext& ctx, Addr set, std::uint8_t byte) {
+  AddressSpace& as = ctx.machine.mem();
+  for (std::uint64_t j = 0;; ++j) {
+    std::uint8_t member = 0;
+    ctx.machine.tick();
+    if (!as.try_load8(set + j, member) || member == 0) return false;
+    if (member == byte) return true;
+  }
 }
 
 SimValue fn_strlen(CallContext& ctx) {
@@ -40,6 +53,7 @@ SimValue fn_strncpy(CallContext& ctx) {
   const std::uint64_t n = ctx.arg_size(2);
   // Copy through the terminator, then the spec-faithful zero fill to n.
   const std::uint64_t copied = bulk::copy_cstr_bounded(ctx.machine, dest, ctx.arg_ptr(1), n);
+  if (ctx.machine.faulted()) return fault_return();
   bulk::fill(ctx.machine, dest + copied, 0, n - copied);
   return SimValue::ptr(dest);
 }
@@ -47,6 +61,7 @@ SimValue fn_strncpy(CallContext& ctx) {
 SimValue fn_strcat(CallContext& ctx) {
   const Addr dest = ctx.arg_ptr(0);
   const std::uint64_t base = scan_len(ctx, dest);
+  if (ctx.machine.faulted()) return fault_return();
   bulk::copy_cstr(ctx.machine, dest + base, ctx.arg_ptr(1));
   return SimValue::ptr(dest);
 }
@@ -57,14 +72,16 @@ SimValue fn_strncat(CallContext& ctx) {
   const Addr src = ctx.arg_ptr(1);
   const std::uint64_t n = ctx.arg_size(2);
   const std::uint64_t base = scan_len(ctx, dest);
+  if (ctx.machine.faulted()) return fault_return();
   std::uint64_t i = 0;
   for (; i < n; ++i) {
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(src + i);
+    std::uint8_t byte = 0;
+    if (!as.try_load8(src + i, byte)) return fault_return();
     if (byte == 0) break;
-    as.store8(dest + base + i, byte);
+    if (!as.try_store8(dest + base + i, byte)) return fault_return();
   }
-  as.store8(dest + base + i, 0);
+  if (!as.try_store8(dest + base + i, 0)) return fault_return();
   return SimValue::ptr(dest);
 }
 
@@ -89,7 +106,7 @@ SimValue fn_strchr(CallContext& ctx) {
     const std::uint64_t extent = as.span_extent(s + i, mem::Perm::kRead);
     if (extent == 0) {
       bulk::replay_load(ctx.machine, s + i);
-      continue;
+      return fault_return();
     }
     const std::byte* p = as.span(s + i, extent, mem::Perm::kRead);
     const std::uint64_t k = bulk::find_nul_or(p, extent, target);
@@ -116,7 +133,7 @@ SimValue fn_strrchr(CallContext& ctx) {
     const std::uint64_t extent = as.span_extent(s + i, mem::Perm::kRead);
     if (extent == 0) {
       bulk::replay_load(ctx.machine, s + i);
-      continue;
+      return fault_return();
     }
     const std::byte* p = as.span(s + i, extent, mem::Perm::kRead);
     const void* h0 = std::memchr(p, 0, extent);
@@ -143,18 +160,24 @@ SimValue fn_strstr(CallContext& ctx) {
   AddressSpace& as = ctx.machine.mem();
   const Addr hay = ctx.arg_ptr(0);
   const Addr needle = ctx.arg_ptr(1);
+  std::uint8_t first = 0;
   ctx.machine.tick();
-  if (as.load8(needle) == 0) return SimValue::ptr(hay);
+  if (!as.try_load8(needle, first)) return fault_return();
+  if (first == 0) return SimValue::ptr(hay);
   for (std::uint64_t i = 0;; ++i) {
+    std::uint8_t hc = 0;
     ctx.machine.tick();
-    const std::uint8_t hc = as.load8(hay + i);
+    if (!as.try_load8(hay + i, hc)) return fault_return();
     if (hc == 0) return SimValue::null();
     std::uint64_t j = 0;
     while (true) {
+      std::uint8_t nc = 0;
+      std::uint8_t candidate = 0;
       ctx.machine.tick();
-      const std::uint8_t nc = as.load8(needle + j);
+      if (!as.try_load8(needle + j, nc)) return fault_return();
       if (nc == 0) return SimValue::ptr(hay + i);
-      if (as.load8(hay + i + j) != nc) break;
+      if (!as.try_load8(hay + i + j, candidate)) return fault_return();
+      if (candidate != nc) break;
       ++j;
     }
   }
@@ -168,19 +191,12 @@ SimValue span_impl(CallContext& ctx, bool in) {
   const Addr accept = ctx.arg_ptr(1);
   std::uint64_t i = 0;
   for (;; ++i) {
+    std::uint8_t byte = 0;
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(s + i);
+    if (!as.try_load8(s + i, byte)) return fault_return();
     if (byte == 0) break;
-    bool member = false;
-    for (std::uint64_t j = 0;; ++j) {
-      ctx.machine.tick();
-      const std::uint8_t ac = as.load8(accept + j);
-      if (ac == 0) break;
-      if (ac == byte) {
-        member = true;
-        break;
-      }
-    }
+    const bool member = in_set(ctx, accept, byte);
+    if (ctx.machine.faulted()) return fault_return();
     if (member != in) break;
   }
   return SimValue::integer(static_cast<std::int64_t>(i));
@@ -191,21 +207,20 @@ SimValue fn_strpbrk(CallContext& ctx) {
   const Addr s = ctx.arg_ptr(0);
   const Addr accept = ctx.arg_ptr(1);
   for (std::uint64_t i = 0;; ++i) {
+    std::uint8_t byte = 0;
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(s + i);
+    if (!as.try_load8(s + i, byte)) return fault_return();
     if (byte == 0) return SimValue::null();
-    for (std::uint64_t j = 0;; ++j) {
-      ctx.machine.tick();
-      const std::uint8_t ac = as.load8(accept + j);
-      if (ac == 0) break;
-      if (ac == byte) return SimValue::ptr(s + i);
-    }
+    const bool member = in_set(ctx, accept, byte);
+    if (ctx.machine.faulted()) return fault_return();
+    if (member) return SimValue::ptr(s + i);
   }
 }
 
 SimValue fn_strdup(CallContext& ctx) {
   const Addr s = ctx.arg_ptr(0);
   const std::uint64_t len = scan_len(ctx, s);
+  if (ctx.machine.faulted()) return fault_return();
   const Addr copy = ctx.machine.heap().malloc(len + 1);
   if (copy == 0) {
     ctx.machine.set_err(kENOMEM);
@@ -224,36 +239,34 @@ SimValue fn_strtok(CallContext& ctx) {
     // is the first-ever call (cursor 0 -> load at 0 faults).
     s = ctx.state.strtok_cursor;
   }
-  const auto is_delim = [&](std::uint8_t byte) {
-    for (std::uint64_t j = 0;; ++j) {
-      ctx.machine.tick();
-      const std::uint8_t dc = as.load8(delim + j);
-      if (dc == 0) return false;
-      if (dc == byte) return true;
-    }
-  };
   // Skip leading delimiters.
   std::uint64_t i = 0;
   while (true) {
+    std::uint8_t byte = 0;
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(s + i);
+    if (!as.try_load8(s + i, byte)) return fault_return();
     if (byte == 0) {
       ctx.state.strtok_cursor = s + i;
       return SimValue::null();
     }
-    if (!is_delim(byte)) break;
+    const bool is_delim = in_set(ctx, delim, byte);
+    if (ctx.machine.faulted()) return fault_return();
+    if (!is_delim) break;
     ++i;
   }
   const Addr token = s + i;
   while (true) {
+    std::uint8_t byte = 0;
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(s + i);
+    if (!as.try_load8(s + i, byte)) return fault_return();
     if (byte == 0) {
       ctx.state.strtok_cursor = s + i;
       return SimValue::ptr(token);
     }
-    if (is_delim(byte)) {
-      as.store8(s + i, 0);
+    const bool is_delim = in_set(ctx, delim, byte);
+    if (ctx.machine.faulted()) return fault_return();
+    if (is_delim) {
+      if (!as.try_store8(s + i, 0)) return fault_return();
       ctx.state.strtok_cursor = s + i + 1;
       return SimValue::ptr(token);
     }
@@ -304,38 +317,38 @@ SimValue fn_strtok_r(CallContext& ctx) {
   const Addr delim = ctx.arg_ptr(1);
   const Addr saveptr = ctx.arg_ptr(2);
   if (s == 0) {
-    s = as.load64(saveptr);  // continuation: read the cursor (crashes on garbage)
+    // Continuation: read the cursor (crashes on garbage).
+    if (!as.try_load64(saveptr, s)) return fault_return();
   }
-  const auto is_delim = [&](std::uint8_t byte) {
-    for (std::uint64_t j = 0;; ++j) {
-      ctx.machine.tick();
-      const std::uint8_t dc = as.load8(delim + j);
-      if (dc == 0) return false;
-      if (dc == byte) return true;
-    }
-  };
   std::uint64_t i = 0;
   while (true) {
+    std::uint8_t byte = 0;
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(s + i);
+    if (!as.try_load8(s + i, byte)) return fault_return();
     if (byte == 0) {
-      as.store64(saveptr, s + i);
+      if (!as.try_store64(saveptr, s + i)) return fault_return();
       return SimValue::null();
     }
-    if (!is_delim(byte)) break;
+    const bool is_delim = in_set(ctx, delim, byte);
+    if (ctx.machine.faulted()) return fault_return();
+    if (!is_delim) break;
     ++i;
   }
   const Addr token = s + i;
   while (true) {
+    std::uint8_t byte = 0;
     ctx.machine.tick();
-    const std::uint8_t byte = as.load8(s + i);
+    if (!as.try_load8(s + i, byte)) return fault_return();
     if (byte == 0) {
-      as.store64(saveptr, s + i);
+      if (!as.try_store64(saveptr, s + i)) return fault_return();
       return SimValue::ptr(token);
     }
-    if (is_delim(byte)) {
-      as.store8(s + i, 0);
-      as.store64(saveptr, s + i + 1);
+    const bool is_delim = in_set(ctx, delim, byte);
+    if (ctx.machine.faulted()) return fault_return();
+    if (is_delim) {
+      if (!as.try_store8(s + i, 0) || !as.try_store64(saveptr, s + i + 1)) {
+        return fault_return();
+      }
       return SimValue::ptr(token);
     }
     ++i;

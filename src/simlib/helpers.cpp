@@ -65,14 +65,14 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
   for (mem::Addr p = fmt;; ++p) {
     // Literal run: copy bytes up to the next '%' or terminator in per-region
     // chunks, one tick per byte including the byte that ends the run. `out`
-    // is host-local and discarded when a fault or hang escapes, so partial
-    // appends before a hang are unobservable.
+    // is host-local and discarded when a fault latches or a hang escapes, so
+    // partial appends are unobservable.
     bool done = false;
     while (true) {
       const std::uint64_t extent = as.span_extent(p, mem::Perm::kRead);
       if (extent == 0) {
         bulk::replay_load(ctx.machine, p);
-        continue;
+        return;
       }
       const std::byte* sp = as.span(p, extent, mem::Perm::kRead);
       const std::uint64_t k = bulk::find_nul_or(sp, extent, '%');
@@ -88,27 +88,29 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
     }
     if (done) return;
     // Parse %[0][width][l]conv — the subset HEALERS workloads use.
+    std::uint8_t byte = 0;
     ++p;
     ctx.machine.tick();
-    char conv = static_cast<char>(as.load8(p));
+    if (!as.try_load8(p, byte)) return;
     bool zero_pad = false;
-    if (conv == '0') {
+    if (byte == '0') {
       zero_pad = true;
       ++p;
-      conv = static_cast<char>(as.load8(p));
+      if (!as.try_load8(p, byte)) return;
     }
     int width = 0;
-    while (conv >= '0' && conv <= '9') {
-      width = width * 10 + (conv - '0');
+    while (byte >= '0' && byte <= '9') {
+      width = width * 10 + (byte - '0');
       ++p;
       ctx.machine.tick();
-      conv = static_cast<char>(as.load8(p));
+      if (!as.try_load8(p, byte)) return;
     }
-    while (conv == 'l') {  // %ld / %lld width modifiers are a no-op at 64 bit
+    while (byte == 'l') {  // %ld / %lld width modifiers are a no-op at 64 bit
       ++p;
       ctx.machine.tick();
-      conv = static_cast<char>(as.load8(p));
+      if (!as.try_load8(p, byte)) return;
     }
+    const char conv = static_cast<char>(byte);
     std::string piece;
     switch (conv) {
       case '%':
@@ -148,7 +150,7 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
           const std::uint64_t extent = as.span_extent(q, mem::Perm::kRead);
           if (extent == 0) {
             bulk::replay_load(ctx.machine, q);
-            continue;
+            return;
           }
           const std::byte* sp = as.span(q, extent, mem::Perm::kRead);
           const void* hit = std::memchr(sp, 0, extent);
@@ -169,8 +171,10 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
         piece = std::string("%") + conv;
     }
     if (width > static_cast<int>(piece.size())) {
-      piece.insert(piece.begin(), static_cast<std::size_t>(width) - piece.size(),
-                   zero_pad ? '0' : ' ');
+      // Zero padding goes after a number's sign: "%05d" of -42 is "-0042".
+      const bool numeric = conv == 'd' || conv == 'i' || conv == 'f';
+      const std::size_t at = zero_pad && numeric && piece.front() == '-' ? 1 : 0;
+      piece.insert(at, static_cast<std::size_t>(width) - piece.size(), zero_pad ? '0' : ' ');
     }
     out += piece;
   }

@@ -82,8 +82,9 @@ class CallObserver {
   virtual void on_detection(CallContext& ctx, DetectionKind kind, const std::string& symbol,
                             const std::string& detail, mem::Addr fault_addr) = 0;
 
-  // An AccessFault escaped a call and is being reaped by the supervisor.
-  // The offending symbol is whatever on_call saw last.
+  // A call crashed (an AccessFault thrown or a fault latched) and the
+  // supervisor is reaping it. The offending symbol is whatever on_call saw
+  // last.
   virtual void on_fault(const mem::Machine& machine, FaultKind kind, mem::Addr fault_addr,
                         const std::string& detail) = 0;
 

@@ -32,4 +32,19 @@ std::string to_hex(std::uint64_t value) {
   return out;
 }
 
+std::string FaultRecord::to_string() const {
+  return healers::to_string(kind) + " at 0x" + to_hex(address) + ": " + detail;
+}
+
+const char* SimFault::what() const noexcept {
+  if (what_.empty()) {
+    try {
+      what_ = describe();
+    } catch (...) {
+      return "simulated fault";
+    }
+  }
+  return what_.c_str();
+}
+
 }  // namespace healers

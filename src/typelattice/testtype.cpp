@@ -136,10 +136,16 @@ simlib::SimValue ValueFactory::safe_value(const parser::ManPage& page, int arg_i
       }
       if (note != nullptr && note->is_funcptr) {
         // A valid callback: byte-wise comparator, the shape qsort expects.
+        // Like library code, it returns with a fault latched (the caller
+        // tests Machine::faulted()).
         return SimValue::ptr(process_.register_callback(
             "probe_compar", [](simlib::CallContext& cb) {
-              const int a = cb.machine.mem().load8(cb.arg_ptr(0));
-              const int b = cb.machine.mem().load8(cb.arg_ptr(1));
+              mem::AddressSpace& as = cb.machine.mem();
+              std::uint8_t a = 0;
+              std::uint8_t b = 0;
+              if (!as.try_load8(cb.arg_ptr(0), a) || !as.try_load8(cb.arg_ptr(1), b)) {
+                return SimValue::integer(0);
+              }
               return SimValue::integer(a < b ? -1 : (a > b ? 1 : 0));
             }));
       }

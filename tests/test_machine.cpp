@@ -118,6 +118,41 @@ TEST(Machine, HeapAndStackAreUsable) {
   EXPECT_EQ(machine.stack().depth(), 1u);
 }
 
+TEST(Machine, RestoreRewindsLoaderTablesAcrossDivergedBranches) {
+  // Both branches grow every loader table by one entry: equal sizes, other
+  // contents. restore() must bring back the snapshot's own entries.
+  Machine machine;
+  const Machine::Snapshot a = machine.snapshot();
+  const Addr x = machine.intern_string("x-string");
+  const Addr fn_x = machine.register_code("fn_x");
+  const Addr got_x = machine.define_got_slot("got_x");
+  const Machine::Snapshot b = machine.snapshot();
+  machine.restore(a);
+  (void)machine.intern_string("y-string");
+  (void)machine.register_code("fn_y");
+  (void)machine.define_got_slot("got_y");
+  machine.restore(b);
+  EXPECT_EQ(machine.intern_string("x-string"), x);
+  EXPECT_EQ(machine.resolve_code(fn_x), "fn_x");
+  EXPECT_EQ(machine.find_got_slot("got_x"), got_x);
+  EXPECT_FALSE(machine.has_got_slot("got_y"));
+}
+
+TEST(Machine, SnapshotsShareUnchangedLoaderTables) {
+  Machine machine;
+  (void)machine.intern_string("shared");
+  const Machine::Snapshot first = machine.snapshot();
+  const Machine::Snapshot second = machine.snapshot();
+  EXPECT_EQ(first.interned, second.interned);
+  EXPECT_EQ(first.code, second.code);
+  // A change refreezes only the table it touched.
+  (void)machine.register_code("fresh");
+  const Machine::Snapshot third = machine.snapshot();
+  EXPECT_EQ(third.interned, second.interned);
+  EXPECT_NE(third.code, second.code);
+  EXPECT_EQ(third.got_slots, second.got_slots);
+}
+
 TEST(Machine, ConfigSizesRespected) {
   MachineConfig config;
   config.heap_size = 128 << 10;

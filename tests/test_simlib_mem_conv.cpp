@@ -3,6 +3,8 @@
 // the heap entry points' errno discipline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "testbed.hpp"
 
 namespace healers {
@@ -168,6 +170,22 @@ TEST_F(MemConvFixture, StrtolOverflowClampsAndSetsErange) {
   EXPECT_EQ(proc->machine().err(), simlib::kERANGE);
 }
 
+TEST_F(MemConvFixture, StrtolDetectsMultiplyOverflow) {
+  // The last multiply wraps to a value above the previous magnitude, so a
+  // smaller-than-before test misses it; C clamps to LONG_MAX with ERANGE.
+  proc->machine().set_err(0);
+  const auto v = proc->call("strtol", {P(str("2053793259636879571563")), P(0), I(10)});
+  EXPECT_EQ(v.as_int(), 0x7fffffffffffffffLL);
+  EXPECT_EQ(proc->machine().err(), simlib::kERANGE);
+  proc->machine().set_err(0);
+  const auto u = proc->call("strtoul", {P(str("2053793259636879571563")), P(0), I(10)});
+  EXPECT_EQ(static_cast<std::uint64_t>(u.as_int()), ~std::uint64_t{0});
+  EXPECT_EQ(proc->machine().err(), simlib::kERANGE);
+  // atol keeps its silent wrap: the magnitude modulo 2^64.
+  EXPECT_EQ(proc->call("atol", {P(str("2053793259636879571563"))}).as_int(),
+            6204667455119342187LL);
+}
+
 TEST_F(MemConvFixture, StrtolNoDigitsLeavesEndptrAtStart) {
   const mem::Addr s = str("zzz");
   const mem::Addr endptr = buf(8);
@@ -184,6 +202,15 @@ TEST_F(MemConvFixture, StrtodParsesFloats) {
   EXPECT_DOUBLE_EQ(proc->call("strtod", {P(str("3.5")), P(0)}).as_double(), 3.5);
   EXPECT_DOUBLE_EQ(proc->call("strtod", {P(str("-2.25e2")), P(0)}).as_double(), -225.0);
   EXPECT_DOUBLE_EQ(proc->call("strtod", {P(str("  .5x")), P(0)}).as_double(), 0.5);
+}
+
+TEST_F(MemConvFixture, StrtodHugeExponentOverflowsToInfinity) {
+  proc->machine().set_err(0);
+  const double v = proc->call("strtod", {P(str("1e99999999999")), P(0)}).as_double();
+  EXPECT_TRUE(std::isinf(v));
+  EXPECT_GT(v, 0.0);
+  EXPECT_EQ(proc->machine().err(), simlib::kERANGE);
+  EXPECT_EQ(proc->call("strtod", {P(str("1e-99999999999")), P(0)}).as_double(), 0.0);
 }
 
 TEST_F(MemConvFixture, StrtodEndptrAfterFloat) {

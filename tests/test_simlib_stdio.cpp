@@ -195,6 +195,12 @@ TEST_F(StdioFixture, SprintfWidthAndZeroPad) {
   EXPECT_EQ(mem().read_cstring(dst), "[   42][0007]");
 }
 
+TEST_F(StdioFixture, SprintfZeroPadsAfterTheSign) {
+  const mem::Addr dst = buf(64);
+  proc->call("sprintf", {P(dst), P(str("[%05d][%5d][%03d]")), I(-42), I(-42), I(-7)});
+  EXPECT_EQ(mem().read_cstring(dst), "[-0042][  -42][-07]");
+}
+
 TEST_F(StdioFixture, SprintfOverflowsUnboundedly) {
   const mem::Addr small = buf(4);
   EXPECT_THROW(

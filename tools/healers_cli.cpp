@@ -453,10 +453,10 @@ struct Derive {
       doc.add_child(engine.to_xml());
       std::fprintf(stderr,
                    "engine: %llu states forked, %llu testbeds built, pages sealed=%llu "
-                   "faulted=%llu privatized=%llu dropped=%llu\n",
+                   "faulted=%llu privatized=%llu dropped=%llu, %llu crashes unwound\n",
                    ull(engine.states_forked), ull(engine.testbeds_built), ull(engine.pages_sealed),
                    ull(engine.pages_faulted), ull(engine.pages_privatized),
-                   ull(engine.pages_dropped));
+                   ull(engine.pages_dropped), ull(engine.crashes_unwound));
       std::fprintf(stderr,
                    "prune: %llu probes implied, %llu executed (implication hit rate %.1f%%), "
                    "%llu/%llu args warm-ordered (%.1f%%), %llu memo case hits\n",
