@@ -1,19 +1,14 @@
-// Experiment F7 — virtual-time fleet simulation at scale (ISSUE 7).
+// Experiment F7 — virtual-time fleet simulation at scale.
 //
-// Regenerates: a million simulated hosts on the discrete-event engine
-// (src/sim) driving the REAL serve path — FleetCollector ingest and
-// DeriveServer admission control — end to end. Rows report simulated
-// hosts/sec and ingest docs/sec (wall clock), plus the deterministic
-// drop/shed accounting at overload.
+// A million simulated hosts on the discrete-event engine (src/sim) driving
+// the REAL serve path — FleetCollector ingest and DeriveServer admission
+// control — end to end. Rows report simulated hosts/sec and ingest docs/sec
+// on the wall clock, plus the drop/shed rates at overload. `healers
+// simulate --stats` prints the same run's deterministic summary.
 //
-// Expected shape: >= 100k simulated hosts/sec end-to-end on laptop-class
-// hardware; jobs scaling on the parallel advance phase; at overload the
-// collector drops and the server sheds by COUNT, never silently — the
-// accounting identities hold at every scale (self-checked below; the bench
-// refuses to emit numbers from a run that lost a document).
-//
-// Every row carries the `virtual_time` marker counter; run_benches.sh
-// rejects a BENCH_f7.json without it.
+// Every run checks the collector and server accounting identities, and the
+// bench exits rather than report numbers from a run that lost a document or
+// a request.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -63,14 +58,6 @@ void check_accounting(const sim::FleetSim& simulation, const sim::SimStats& stat
   }
 }
 
-void print_headline() {
-  std::printf("==== F7: virtual-time fleet simulation ====\n\n");
-  sim::FleetSim simulation(toolkit(), fleet_config(100'000, 0));
-  const sim::SimStats stats = simulation.run();
-  check_accounting(simulation, stats);
-  std::printf("%s\n", simulation.render_global_summary().c_str());
-}
-
 // End-to-end simulation: event engine -> traffic models -> wire encode ->
 // collector ingest + derive admission -> flush/drain -> response retire.
 void BM_SimFleet(benchmark::State& state) {
@@ -87,7 +74,6 @@ void BM_SimFleet(benchmark::State& state) {
     sheds += stats.responses_shed;
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(hosts));
-  state.counters["virtual_time"] = 1;
   state.counters["hosts_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * hosts, benchmark::Counter::kIsRate);
   state.counters["ingest_docs_per_sec"] =
@@ -108,7 +94,6 @@ void BM_SimJobsScaling(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.events);
   }
   state.SetItemsProcessed(state.iterations() * 250'000);
-  state.counters["virtual_time"] = 1;
   state.counters["hosts_per_sec"] =
       benchmark::Counter(static_cast<double>(state.iterations()) * 250'000,
                          benchmark::Counter::kIsRate);
@@ -137,7 +122,6 @@ void BM_SimOverload(benchmark::State& state) {
     requests += stats.derive_requests;
   }
   state.SetItemsProcessed(state.iterations() * 100'000);
-  state.counters["virtual_time"] = 1;
   state.counters["drop_rate"] =
       static_cast<double>(dropped) / static_cast<double>(std::max<std::uint64_t>(1, submitted));
   state.counters["shed_rate"] =
@@ -160,9 +144,4 @@ BENCHMARK(BM_SimJobsScaling)
     ->Arg(0);  // 0 = all cores
 BENCHMARK(BM_SimOverload)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-int main(int argc, char** argv) {
-  print_headline();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,23 +1,23 @@
 // Experiment F2 — Fig 2: the fault-injection pipeline deriving the robust
 // API of a shared library.
 //
-// Regenerates: the Fig 2 report for every stock library (probes run,
-// robustness failures found, weakest safe argument types per function), plus
-// google-benchmark timings of the pipeline's stages (campaign per library,
-// per-function probing, spec XML serialization).
+// Times what perfbench's derive workload does not: the campaign engine's
+// modes side by side (a fresh process per probe against COW-forked shells,
+// one worker against eight, pruning on against off), the per-probe reset
+// primitive against a fresh testbed build, the memory cost of coexisting
+// probe states, and one probe of each kind. Every row runs on the wall
+// clock; bench/run_benches.sh repeats each one and stamps the artifact.
 //
-// Expected shape (paper §2.2 and Ballista [6]): the string/memory family is
-// riddled with robustness failures (most functions fail on NULL/wild/
-// unterminated arguments); the value-in/value-out math library has none.
+// The Fig 2 counts themselves (failure rates, non-robust functions) are
+// deterministic and pinned in test_injector; `healers derive <lib> --seed
+// 2003 --variants 2` followed by `healers report` prints the table.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstdio>
 #include <vector>
 
-#include "attacks/attacks.hpp"
 #include "core/toolkit.hpp"
-#include "gen/repair_policy.hpp"
-#include "incident/recorder.hpp"
 #include "linker/testbed.hpp"
 #include "memmodel/addr_space.hpp"
 
@@ -41,57 +41,7 @@ std::uint64_t rss_bytes() {
   return fields == 2 ? resident * 4096ULL : 0;
 }
 
-// Verifies COW state storage is actually compiled in: a store after
-// snapshot() must privatize exactly the touched page, and restore() must
-// drop it again. run_benches.sh refuses to publish numbers from a tree where
-// this fails (main() exits nonzero), and every fig2 state row carries the
-// cow_states marker counter the script greps for.
-bool cow_self_check() {
-  mem::AddressSpace space;
-  const mem::Region& region =
-      space.map(4 * mem::kCowPageSize, mem::Perm::kReadWrite, mem::RegionKind::kScratch, "probe");
-  const auto snap = space.snapshot();
-  space.store8(region.base, 7);
-  if (space.find(region.base)->private_pages() != 1) return false;
-  if (space.cow_stats().pages_privatized == 0) return false;
-  space.restore(snap);
-  return space.load8(region.base) == 0 && space.cow_stats().pages_dropped >= 1;
-}
-
-bool g_cow_ok = false;
-
-injector::InjectorConfig config() {
-  injector::InjectorConfig cfg;
-  cfg.seed = 2003;
-  cfg.variants = 2;
-  return cfg;
-}
-
-void print_report() {
-  std::printf("==== Fig 2: robust-API derivation (fault-injection campaigns) ====\n\n");
-  for (const std::string& soname : toolkit().list_libraries()) {
-    const auto campaign = toolkit().derive_robust_api(soname, config()).value();
-    std::printf("%s\n", campaign.to_table().c_str());
-    const double failure_rate =
-        campaign.total_probes() == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(campaign.total_failures()) /
-                  static_cast<double>(campaign.total_probes());
-    std::printf("failure rate: %.1f%% of probes; %zu/%zu functions non-robust\n\n",
-                failure_rate, campaign.functions_with_failures(), campaign.specs.size());
-  }
-  const std::uint64_t executed = toolkit().probes_executed();
-  const std::uint64_t implied = toolkit().probes_implied();
-  std::printf("subsumption pruning across the report's campaigns: %llu probes executed, "
-              "%llu implied (%.1f%% skipped)\n\n",
-              static_cast<unsigned long long>(executed),
-              static_cast<unsigned long long>(implied),
-              executed + implied == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(implied) / static_cast<double>(executed + implied));
-}
-
-// Campaign throughput, measured on the FaultInjector itself: the toolkit's
+// Campaign wall time, measured on the FaultInjector itself: the toolkit's
 // derive cache would otherwise serve every iteration after the first from
 // memory. One configuration per engine mode:
 //   fresh/jobs:1 — the deep baseline (rebuild a full process per probe),
@@ -102,22 +52,22 @@ void print_report() {
 //                  implied verdicts are synthesized, not executed
 //                  (DESIGN.md, "Subsumption pruning").
 // All configurations produce byte-identical campaign XML (enforced by
-// test_injector_parallel and test_subsume); only the throughput counters may
-// differ. The engine counters expose the mechanism: fresh rows build one
-// testbed per probe, fork rows build one per worker and fork the rest, and
-// pruned rows split the probe count into executed vs implied — the speedup
-// over the matching unpruned row tracks probe_reduction. The non-pruned
-// rows pin prune off so their numbers stay comparable across revisions.
+// test_injector_parallel and test_subsume). The engine counters expose the
+// mechanism: fresh rows build one testbed per probe, fork rows build one per
+// worker and fork the rest, and pruned rows split the probe count into
+// executed vs implied. The unpruned rows pin prune off so their numbers stay
+// comparable across revisions.
 void BM_CampaignEngine(benchmark::State& state, const std::string& soname, int jobs,
                        bool snapshot_reset, bool prune) {
-  injector::InjectorConfig cfg = config();
+  injector::InjectorConfig cfg;
+  cfg.seed = 2003;
+  cfg.variants = 2;
   cfg.jobs = jobs;
   cfg.snapshot_reset = snapshot_reset;
   cfg.prune = prune;
-  const linker::LibraryCatalog& catalog = toolkit().catalog();
   const simlib::SharedLibrary* lib = toolkit().library(soname);
-  injector::FaultInjector injector(catalog, cfg);
-  std::uint64_t probes_before = injector.probes_executed();
+  injector::FaultInjector injector(toolkit().catalog(), cfg);
+  const std::uint64_t probes_before = injector.probes_executed();
   const injector::CampaignEngineStats engine_before = injector.engine_stats();
   for (auto _ : state) {
     const auto campaign = injector.run_campaign(*lib).value();
@@ -134,26 +84,15 @@ void BM_CampaignEngine(benchmark::State& state, const std::string& soname, int j
                   : static_cast<double>(engine.pages_dropped - engine_before.pages_dropped) /
                         probes;
   if (prune) {
-    // Executed/implied split per campaign, plus the marker counter
-    // run_benches.sh greps for — the artifact's attestation that these rows
-    // came from the subsumption-pruned walk. Note the injector's profile
-    // store stays warm across iterations, so later campaigns prune a bit
-    // more than the first (cross-campaign learning, averaged here).
-    const double executed = probes;
+    // The injector's profile store stays warm across iterations, so later
+    // campaigns prune a bit more than the first (averaged here).
     const double implied =
         static_cast<double>(engine.probes_implied - engine_before.probes_implied);
     state.counters["probes_executed"] =
-        benchmark::Counter(executed, benchmark::Counter::kAvgIterations);
+        benchmark::Counter(probes, benchmark::Counter::kAvgIterations);
     state.counters["probes_implied"] =
         benchmark::Counter(implied, benchmark::Counter::kAvgIterations);
-    state.counters["probe_reduction"] =
-        executed + implied == 0 ? 0 : implied / (executed + implied);
-    // Verdict-case throughput: probes/s only counts *executed* probes, which
-    // understates pruned rows — implied cases are resolved too, just for
-    // free. This is the apples-to-apples rate against an unpruned row.
-    state.counters["cases_resolved/s"] =
-        benchmark::Counter(executed + implied, benchmark::Counter::kIsRate);
-    state.counters["subsumption_prune"] = 1;
+    state.counters["probe_reduction"] = probes + implied == 0 ? 0 : implied / (probes + implied);
   }
 }
 
@@ -172,16 +111,15 @@ void BM_StateForkReset(benchmark::State& state) {
   const mem::CowStats stats = shell->machine().mem().cow_stats();
   state.counters["pages_dropped/reset"] = benchmark::Counter(
       static_cast<double>(stats.pages_dropped), benchmark::Counter::kAvgIterations);
-  state.counters["cow_states"] = g_cow_ok ? 1 : 0;
 }
 
 // One probe of each kind in isolation: a supervised call on a forked
 // libsimc shell, rewound onto its base snapshot before every call exactly
-// as the campaign engine rewinds a worker's bed. Timed on the wall clock.
-// The pass row is the cheap probe pruning removes; the crash rows are the
-// failing probes every campaign executes (DESIGN.md, "Subsumption pruning"),
-// so crash/pass is what a failing probe costs against a passing one. The
-// crashes_unwound counter is 0 when each crash was latched and returned.
+// as the campaign engine rewinds a worker's bed. The pass row is the cheap
+// probe pruning removes; the crash rows are the failing probes every
+// campaign executes, so crash/pass is what a failing probe costs against a
+// passing one. crashes_unwound is 0 when each crash was latched and
+// returned.
 using ProbeArgs = std::vector<simlib::SimValue> (*)(linker::Process&);
 
 std::vector<simlib::SimValue> valid_string_arg(linker::Process& p) {
@@ -235,14 +173,17 @@ void BM_FreshTestbedBuild(benchmark::State& state) {
 // iteration (each with a freshly dirtied heap page, like a probe that ran),
 // keep them all alive, and report resident bytes per state against the
 // analytic deep-copy cost (total mapped bytes a byte-copying snapshot would
-// duplicate). states/GB is the campaign-capacity headline: how many probe
-// states fit in a gigabyte.
+// duplicate). states/GB is how many probe states fit in a gigabyte.
+// malloc_trim returns the heap's free pages to the kernel before the
+// baseline is read, so the states fault in new pages instead of reusing
+// what an earlier row or repetition freed.
 void BM_CoexistingStates(benchmark::State& state) {
   const auto pristine = linker::TestbedState::build(
       toolkit().catalog(), injector::CampaignParams{}.machine(), "bench stdin\n");
   auto shell = pristine->fork("bench-shell");
   std::vector<linker::Process::Snapshot> states;
   states.reserve(4096);
+  malloc_trim(0);
   const std::uint64_t rss_before = rss_bytes();
   for (auto _ : state) {
     benchmark::DoNotOptimize(shell->alloc_cstring("one page of probe dirt"));
@@ -258,126 +199,42 @@ void BM_CoexistingStates(benchmark::State& state) {
       rss_after > rss_before ? static_cast<double>(rss_after - rss_before) / count : 0.0;
   state.counters["rss_bytes/state"] = per_state;
   state.counters["deepcopy_bytes/state"] = static_cast<double>(mapped);
-  state.counters["states/GB"] =
-      per_state > 0 ? (1024.0 * 1024.0 * 1024.0) / per_state : 0.0;
-  state.counters["cow_states"] = g_cow_ok ? 1 : 0;
-}
-
-// The toolkit-level derive path: first call runs the campaign, the rest hit
-// the (soname, fingerprint, config) cache — the speedup users of
-// derive_robust_api actually observe across repeated derives.
-void BM_CachedDerive(benchmark::State& state, const std::string& soname) {
-  core::Toolkit local;
-  (void)local.derive_robust_api(soname, config()).value();  // warm the cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        local.derive_robust_api(soname, config()).value().total_probes());
-  }
-}
-
-void BM_ProbeSingleFunction(benchmark::State& state, const std::string& name) {
-  linker::LibraryCatalog catalog = toolkit().catalog();
-  injector::FaultInjector injector(catalog, config());
-  const simlib::SharedLibrary* lib = toolkit().library("libsimc.so.1");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(injector.probe_function(*lib, name).value().total_failures);
-  }
-}
-
-// Repair-mode rows (ISSUE 9): the same §3.4 attack victims under the
-// detect-only security wrapper (canary trips, process terminates) and under
-// the campaign-derived repair wrapper (overflow clamped, request completes).
-// The survived/blocked/repairs counters feed the EXPERIMENTS.md
-// detect-vs-repair table; the repair rows carry the repair_mode marker
-// counter run_benches.sh greps for, attesting the artifact was produced by a
-// tree with repair-mode wrappers compiled in.
-void BM_AttackResponse(benchmark::State& state, bool heap, bool repair) {
-  const core::Toolkit& tk = toolkit();
-  std::shared_ptr<gen::ComposedWrapper> wrapper;
-  if (repair) {
-    const auto campaign = tk.derive_robust_api("libsimc.so.1", config()).value();
-    wrapper = tk.repair_wrapper("libsimc.so.1", campaign).value();
-  } else {
-    wrapper = tk.security_wrapper("libsimc.so.1").value();
-  }
-  attacks::AttackResult result;
-  std::uint64_t repairs = 0;
-  for (auto _ : state) {
-    incident::FlightRecorder recorder;
-    result = heap ? attacks::run_heap_smash_attack(tk.catalog(), {wrapper}, false, &recorder)
-                  : attacks::run_stack_smash_attack(tk.catalog(), {wrapper}, &recorder);
-    repairs += recorder.repairs_applied();
-    benchmark::DoNotOptimize(result.outcome.kind);
-  }
-  state.counters["survived"] = result.survived ? 1 : 0;
-  state.counters["blocked"] = result.blocked_by_wrapper ? 1 : 0;
-  state.counters["hijacked"] = result.hijack_succeeded ? 1 : 0;
-  state.counters["repairs/run"] = benchmark::Counter(
-      static_cast<double>(repairs), benchmark::Counter::kAvgIterations);
-  if (repair) state.counters["repair_mode"] = 1;
-}
-
-// Repair-policy derivation from an already-memoized campaign: the marginal
-// cost --repair adds to a warm derive, plus the derived-rule census.
-void BM_RepairPolicyDerive(benchmark::State& state, const std::string& soname) {
-  core::Toolkit local;
-  (void)local.derive_robust_api(soname, config()).value();  // warm the campaign
-  const auto campaign = local.derive_robust_api(soname, config()).value();
-  const simlib::SharedLibrary* lib = local.library(soname);
-  std::size_t rules = 0;
-  for (auto _ : state) {
-    const auto policy = gen::derive_repair_policy(campaign, *lib).value();
-    rules = policy.rule_count();
-    benchmark::DoNotOptimize(rules);
-  }
-  state.counters["rules"] = static_cast<double>(rules);
-  state.counters["repair_mode"] = 1;
-}
-
-void BM_SpecXmlSerialize(benchmark::State& state) {
-  const auto campaign = toolkit().derive_robust_api("libsimc.so.1", config()).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(xml::serialize(campaign.to_xml()).size());
-  }
-}
-
-void BM_SpecXmlParse(benchmark::State& state) {
-  const auto campaign = toolkit().derive_robust_api("libsimc.so.1", config()).value();
-  const std::string doc = xml::serialize(campaign.to_xml());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        injector::CampaignResult::from_xml(xml::parse(doc).value()).value().specs.size());
-  }
+  state.counters["states/GB"] = per_state > 0 ? (1024.0 * 1024.0 * 1024.0) / per_state : 0.0;
 }
 
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimc_fresh_jobs1, "libsimc.so.1", 1, false, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimc_fork_jobs1, "libsimc.so.1", 1, true, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimc_fork_jobs8, "libsimc.so.1", 8, true, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimio_fresh_jobs1, "libsimio.so.1", 1, false, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimio_fork_jobs1, "libsimio.so.1", 1, true, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimio_fork_jobs8, "libsimio.so.1", 8, true, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimm_fresh_jobs1, "libsimm.so.1", 1, false, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimm_fork_jobs8, "libsimm.so.1", 8, true, false)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-// Pruned twins of the fork rows: same libraries, same engine, subsumption
-// pruning on — the wall-time ratio against the matching unpruned row is the
-// campaign speedup the lattice walk buys.
+// Pruned twins of the fork_jobs1 rows: the wall-time ratio against the
+// matching unpruned row is the campaign speedup the lattice walk buys.
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimc_pruned_fork_jobs1, "libsimc.so.1", 1, true, true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CampaignEngine, libsimc_pruned_fork_jobs8, "libsimc.so.1", 8, true, true)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CampaignEngine, libsimio_pruned_fork_jobs1, "libsimio.so.1", 1, true, true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CampaignEngine, libsimm_pruned_fork_jobs1, "libsimm.so.1", 1, true, true)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ProbeKind, pass_strlen, "strlen", valid_string_arg, false)
     ->UseRealTime()
@@ -394,36 +251,8 @@ BENCHMARK_CAPTURE(BM_ProbeKind, crash_atoi_null, "atoi", null_arg, true)
 BENCHMARK_CAPTURE(BM_ProbeKind, crash_fputs_non_file, "fputs", non_file_args, true)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_StateForkReset)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_FreshTestbedBuild)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_CoexistingStates)->Iterations(2048)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_CachedDerive, libsimc, "libsimc.so.1")->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ProbeSingleFunction, strcpy, "strcpy")->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ProbeSingleFunction, atoi, "atoi")->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SpecXmlSerialize)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SpecXmlParse)->Unit(benchmark::kMicrosecond);
-// Detect-only vs repair-mode outcomes on both §3.4 attacks (EXPERIMENTS.md).
-BENCHMARK_CAPTURE(BM_AttackResponse, heap_smash_detect, true, false)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_AttackResponse, heap_smash_repair, true, true)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_AttackResponse, stack_smash_detect, false, false)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_AttackResponse, stack_smash_repair, false, true)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_RepairPolicyDerive, libsimc, "libsimc.so.1")
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StateForkReset)->UseRealTime()->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FreshTestbedBuild)->UseRealTime()->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CoexistingStates)->Iterations(2048)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
-int main(int argc, char** argv) {
-  g_cow_ok = cow_self_check();
-  if (!g_cow_ok) {
-    std::fprintf(stderr,
-                 "bench_fig2: COW self-check FAILED — this tree snapshots without "
-                 "copy-on-write state; refusing to publish numbers.\n");
-    return 1;
-  }
-  print_report();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

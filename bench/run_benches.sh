@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
-# Runs the checked-in-JSON benchmarks and refreshes their outputs at the
-# repo root (committed so throughput regressions show up in review):
-#   BENCH_fig2.json  campaign-engine throughput (Fig 2)
-#   BENCH_f6.json    fleet telemetry ingest (docs/sec, XML vs binary codec)
-#   BENCH_c1.json    per-call wrapper overhead (Table C1)
-#   BENCH_s1.json    derivation service (requests/sec: cold vs warm vs
-#                    cache-file-warm)
-#   BENCH_f7.json    virtual-time fleet simulation (simulated hosts/sec,
-#                    end-to-end ingest docs/sec, shed/drop rates at overload)
-#   BENCH_d6.json    demand-driven surface debloating (unmapped-symbol %,
-#                    resident-page reduction, scoped-campaign speedup)
+# Runs the benchmarks with committed artifacts and rewrites them at the repo
+# root:
+#   BENCH_fig2.json  campaign engine modes, fork-vs-fresh state cost, probe kinds
+#   BENCH_f6.json    multi-worker fleet ingest and the XML-vs-binary codecs
+#   BENCH_f7.json    virtual-time fleet simulation (hosts/s, drop/shed rates)
+#   BENCH_d5.json    benign-path cost of the repair wrapper
+#
+# Every row runs on the wall clock, five repetitions, reported as mean,
+# median, stddev and cv. Each artifact's context is stamped with the host's
+# core count, the compiler, the build type, the git commit and a digest of
+# src/ and bench/ (computed as perfbench/run.py's source_digest() does), and
+# the script checks every artifact it writes against that stamp.
 #
 # Benchmarks are only meaningful from an optimized, assertion-free build, so
-# this script builds and uses the `release` preset (-O2 -DNDEBUG) by default
-# and refuses Debug build trees.
-#
-# Note: the "library_build_type" field in the emitted JSON context is
-# google-benchmark reporting how the *system libbenchmark* was packaged —
-# it is not the build type of this repo's code (see CMakeCache check below).
+# this script builds and uses the `release` preset (-O3 -DNDEBUG) by default
+# and refuses Debug build trees. The context's "library_build_type" field is
+# how the system libbenchmark was packaged, not this repo's build type; the
+# stamp's "build_type" is.
 #
 # Usage: bench/run_benches.sh [build-dir]   (default: build-release via the
 #        release preset; pass an explicit tree to override)
@@ -45,139 +44,96 @@ if [[ "$build_type" != "Release" ]]; then
   echo "         pessimistic. Prefer: bench/run_benches.sh (uses the release preset)" >&2
 fi
 
-# The benches with committed JSON artifacts. This one list drives both the
-# build below and the skipped-bench report at the bottom, so a bench added
-# here can't silently stay in the "skipped" listing (or vice versa).
-ran=("bench_fig2_robust_api" "bench_f6_fleet_ingest" "bench_c1_overhead" "bench_s1_derive_service" "bench_f7_fleet_sim" "bench_d6_debloat")
+# Artifact name -> bench binary. This one table drives the build, the runs,
+# the stamp check and the stray-artifact check below.
+declare -A benches=(
+  [BENCH_fig2.json]=bench_fig2_robust_api
+  [BENCH_f6.json]=bench_f6_fleet_ingest
+  [BENCH_f7.json]=bench_f7_fleet_sim
+  [BENCH_d5.json]=bench_d5_repair
+)
 
-cmake --build "$build" -j --target "${ran[@]}"
-
-"$build/bench/bench_fig2_robust_api" \
-  --benchmark_out="$root/BENCH_fig2.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
-
-# Guard: the fig2 fork-vs-fresh comparison is only meaningful when COW state
-# storage is compiled in. The bench binary self-checks at startup (and exits
-# nonzero on failure, which set -e catches above); the marker counter it
-# stamps on the state rows must also land in the artifact — a JSON without it
-# came from a tree with COW compiled out or from a stale binary.
-if ! grep -q '"cow_states"' "$root/BENCH_fig2.json"; then
-  echo "error: BENCH_fig2.json lacks the cow_states marker — the bench tree" >&2
-  echo "       has COW testbed states compiled out; refusing the artifact." >&2
-  exit 1
-fi
-
-# Guard: the pruned campaign rows must carry the subsumption_prune marker —
-# without it the artifact came from a binary predating (or stripped of) the
-# subsumption-pruned lattice walk, and the pruned-vs-unpruned speedup rows
-# the JSON is committed for are missing.
-if ! grep -q '"subsumption_prune"' "$root/BENCH_fig2.json"; then
-  echo "error: BENCH_fig2.json lacks the subsumption_prune marker — the pruned" >&2
-  echo "       campaign rows are missing; refusing the artifact." >&2
-  exit 1
-fi
-
-# Guard: the detect-vs-repair attack rows must carry the repair_mode marker —
-# a JSON without it predates the repair wrapper family (or came from a binary
-# with the repair rows stripped), and the EXPERIMENTS.md detect/repair
-# comparison it backs would silently go stale.
-if ! grep -q '"repair_mode"' "$root/BENCH_fig2.json"; then
-  echo "error: BENCH_fig2.json lacks the repair_mode marker — the repair-mode" >&2
-  echo "       attack rows are missing; refusing the artifact." >&2
-  exit 1
-fi
-
-echo "wrote $root/BENCH_fig2.json"
-
-"$build/bench/bench_f6_fleet_ingest" \
-  --benchmark_out="$root/BENCH_f6.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
-
-echo "wrote $root/BENCH_f6.json"
-
-# The overhead rows are ~100 ns differences between ~100 ns calls, so they
-# need more smoothing than the throughput benches: longer runs, and medians
-# over repetitions so one noisy interval cannot skew a committed number.
-"$build/bench/bench_c1_overhead" \
-  --benchmark_out="$root/BENCH_c1.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.5 \
-  --benchmark_repetitions=3 \
-  --benchmark_report_aggregates_only=true
-
-echo "wrote $root/BENCH_c1.json"
-
-"$build/bench/bench_s1_derive_service" \
-  --benchmark_out="$root/BENCH_s1.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
-
-echo "wrote $root/BENCH_s1.json"
-
-"$build/bench/bench_f7_fleet_sim" \
-  --benchmark_out="$root/BENCH_f7.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
-
-# Guard: every F7 row must carry the virtual_time marker counter — it is the
-# bench's own attestation that the numbers came from the discrete-event
-# virtual-clock path (the bench also self-checks the collector/server
-# accounting identities and exits nonzero on violation, which set -e catches
-# above). A JSON without the marker came from a stale or foreign binary.
-if ! grep -q '"virtual_time"' "$root/BENCH_f7.json"; then
-  echo "error: BENCH_f7.json lacks the virtual_time marker — it was not" >&2
-  echo "       produced by the virtual-clock fleet sim; refusing the artifact." >&2
-  exit 1
-fi
-
-echo "wrote $root/BENCH_f7.json"
-
-"$build/bench/bench_d6_debloat" \
-  --benchmark_out="$root/BENCH_d6.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
-
-# Guard: every D6 row must carry the demand_loading marker counter — the
-# bench's own attestation that the run went through the load barrier and
-# cleared the >= 30% unmapped floor (it self-checks at startup and exits
-# nonzero below the floor, which set -e catches above). A JSON without the
-# marker came from a stale or foreign binary.
-if ! grep -q '"demand_loading"' "$root/BENCH_d6.json"; then
-  echo "error: BENCH_d6.json lacks the demand_loading marker — it was not" >&2
-  echo "       produced by the demand-loading debloat bench; refusing the artifact." >&2
-  exit 1
-fi
-
-echo "wrote $root/BENCH_d6.json"
-
-# Every BENCH_*.json at the repo root must be one this script owns: a stray
-# name (a typo'd output path, a bench renamed without its artifact) would sit
-# in review forever looking like a tracked result nobody regenerates.
-known_json=("BENCH_fig2.json" "BENCH_f6.json" "BENCH_c1.json" "BENCH_s1.json" "BENCH_f7.json" "BENCH_d6.json")
-unknown=0
+# Every BENCH_*.json at the repo root must be one this script writes: a stray
+# name (a typo'd output path, a bench removed without its artifact) would sit
+# in review looking like a tracked result nobody regenerates.
 for artifact in "$root"/BENCH_*.json; do
   [[ -e "$artifact" ]] || continue
   name="$(basename "$artifact")"
-  ok=0
-  for k in "${known_json[@]}"; do [[ "$name" == "$k" ]] && ok=1; done
-  if [[ "$ok" == 0 ]]; then
+  if [[ -z "${benches[$name]+x}" ]]; then
     echo "error: unknown benchmark artifact '$name' at the repo root;" >&2
-    echo "       add it to known_json in bench/run_benches.sh or delete it." >&2
-    unknown=1
+    echo "       add it to the benches table in bench/run_benches.sh or delete it." >&2
+    exit 1
   fi
 done
-[[ "$unknown" == 0 ]] || exit 1
 
-# Be explicit about coverage: the figure/demo benches (including the D5
-# detect-vs-repair table) regenerate paper numbers on demand but have no
-# committed JSON, so they are NOT run here.
-echo "skipped (no committed JSON; run from $build/bench/ by hand):"
-for src in "$root"/bench/bench_*.cpp; do
-  name="$(basename "$src" .cpp)"
-  ok=0
-  for r in "${ran[@]}"; do [[ "$name" == "$r" ]] && ok=1; done
-  [[ "$ok" == 0 ]] && echo "  $name"
+cmake --build "$build" -j --target "${benches[@]}"
+
+source_digest() {
+  python3 - "$root" <<'EOF'
+import hashlib, pathlib, sys
+root = pathlib.Path(sys.argv[1])
+digest = hashlib.sha256()
+for top in (root / "src", root / "bench"):
+    for path in sorted(p for p in top.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+print(digest.hexdigest()[:16])
+EOF
+}
+
+cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' "$build/CMakeCache.txt")"
+sha="$(git -C "$root" rev-parse --short=12 HEAD)"
+[[ -z "$(git -C "$root" status --porcelain -- src bench)" ]] || sha="$sha+uncommitted"
+digest="$(source_digest)"
+context="nproc=$(nproc),compiler=$("$cxx" --version | head -n1 | tr ',' ' '),build_type=$build_type"
+context="$context,git_sha=$sha,source_digest=$digest"
+
+# The stamp check: the context names this tree, and every row is a
+# wall-clock row with at least five repetitions and their median and stddev.
+check_stamp() {
+  python3 - "$1" "$digest" "$build_type" <<'EOF'
+import collections, json, sys
+path, digest, build_type = sys.argv[1:]
+doc = json.load(open(path))
+context = doc["context"]
+errors = []
+for key in ("nproc", "compiler", "build_type", "git_sha", "source_digest"):
+    if not context.get(key):
+        errors.append(f"context lacks {key}")
+if context.get("source_digest") != digest:
+    errors.append(f"source_digest {context.get('source_digest')} is not this tree's {digest}")
+if context.get("build_type") != build_type:
+    errors.append(f"build_type {context.get('build_type')} is not {build_type}")
+aggregates = collections.defaultdict(set)
+for row in doc["benchmarks"]:
+    run = row["run_name"]
+    if not run.endswith("/real_time"):
+        errors.append(f"{run}: not timed on the wall clock")
+    if row.get("repetitions", 0) < 5:
+        errors.append(f"{run}: {row.get('repetitions', 0)} repetitions, want at least 5")
+    if row.get("error_occurred"):
+        errors.append(f"{run}: {row.get('error_message')}")
+    aggregates[run].add(row.get("aggregate_name", ""))
+if not aggregates:
+    errors.append("no rows")
+for run, names in aggregates.items():
+    if not {"median", "stddev"} <= names:
+        errors.append(f"{run}: lacks a median or stddev aggregate")
+for error in errors:
+    print(f"error: {path}: {error}", file=sys.stderr)
+sys.exit(1 if errors else 0)
+EOF
+}
+
+for artifact in $(printf '%s\n' "${!benches[@]}" | sort); do
+  "$build/bench/${benches[$artifact]}" \
+    --benchmark_out="$root/$artifact" \
+    --benchmark_out_format=json \
+    --benchmark_min_time=0.2 \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
+    --benchmark_context="$context"
+  check_stamp "$root/$artifact"
+  echo "wrote $root/$artifact"
 done
-exit 0

@@ -26,7 +26,8 @@ std::string arg_list(const FunctionProto& proto) {
   std::string out;
   for (std::size_t i = 0; i < proto.params.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "a" + std::to_string(i + 1);
+    out += 'a';
+    out += std::to_string(i + 1);
   }
   return out;
 }
@@ -36,7 +37,7 @@ std::string param_list(const FunctionProto& proto) {
   std::string out;
   for (std::size_t i = 0; i < proto.params.size(); ++i) {
     if (i > 0) out += ", ";
-    out += proto.params[i].type.declare("a" + std::to_string(i + 1));
+    out += proto.params[i].type.declare(std::string("a").append(std::to_string(i + 1)));
   }
   if (proto.varargs) out += ", ...";
   return out;
@@ -50,7 +51,7 @@ class PrototypeGen : public MicroGenerator {
 
   [[nodiscard]] std::string prefix_code(const GenContext& ctx) const override {
     std::string out = ctx.proto.return_type.declare(ctx.proto.name);
-    out += "(" + param_list(ctx.proto) + ")\n{\n";
+    out.append("(").append(param_list(ctx.proto)).append(")\n{\n");
     if (!returns_void(ctx.proto)) {
       out += "  " + ctx.proto.return_type.declare("ret") + ";\n";
     }

@@ -14,6 +14,7 @@
 #include "fleet/wire.hpp"
 #include "incident/dossier.hpp"
 #include "server/protocol.hpp"
+#include "simlib/cerrno.hpp"
 #include "simlib/observer.hpp"
 #include "support/thread_pool.hpp"
 
@@ -56,51 +57,39 @@ struct ShardState {
 constexpr std::array<std::string_view, 8> kSymbols = {
     "atoi", "memcpy", "qsort", "strchr", "strcpy", "strlen", "toupper", "wctrans"};
 
-void put_host_name(std::string& out, std::uint32_t host) {
-  char name[12];
-  std::snprintf(name, sizeof name, "h%07u", host);
-  fleet::codec::put_str(out, name);
-}
-
-// Builds one "HFB1" binary profile document straight from the host's Rng —
-// no ProfileReport object, no XML: at a million hosts the encode path IS the
-// generator's hot loop.
+// Builds one "HFB1" binary profile document from the host's Rng. At a
+// million hosts this is the generator's hot loop, so each advance thread
+// fills one reused report whose strings and function list keep their
+// storage from one host to the next.
 std::string make_profile_doc(HostTask& host) {
+  thread_local profile::ProfileReport report;
+  char name[12];
+  std::snprintf(name, sizeof name, "h%07u", host.index);
+  report.process = name;
+  report.wrapper = "sim-wrapper";
+  const std::size_t nfn = 2 + host.rng.below(3);
+  const std::size_t start = host.rng.below(kSymbols.size() - nfn + 1);
+  report.functions.resize(nfn);
+  report.global_errnos.clear();
+  for (std::size_t i = 0; i < nfn; ++i) {
+    profile::FunctionProfile& fn = report.functions[i];
+    fn.symbol = kSymbols[start + i];
+    fn.calls = 1 + host.rng.below(64);
+    fn.cycles = fn.calls * (20 + host.rng.below(40));
+    fn.contained = host.rng.below(16) == 0 ? 1 : 0;
+    fn.errno_counts.clear();
+    // Only wctrans reports failures here — EINVAL on unknown mappings, the
+    // paper's own Fig 3 example of an errno histogram.
+    if (fn.symbol == "wctrans" && host.rng.below(4) == 0) {
+      const std::uint64_t count = 1 + host.rng.below(3);
+      fn.errno_counts[simlib::kEINVAL] = count;
+      report.global_errnos[simlib::kEINVAL] += count;
+    }
+  }
   std::string out;
   out.reserve(192);
   out += fleet::kBinaryMagic;
-  put_host_name(out, host.index);
-  fleet::codec::put_str(out, "sim-wrapper");
-  const auto nfn = static_cast<std::uint32_t>(2 + host.rng.below(3));
-  const std::size_t start = host.rng.below(kSymbols.size() - nfn + 1);
-  fleet::codec::put_u32(out, nfn);
-  std::uint64_t global_einval = 0;
-  for (std::uint32_t i = 0; i < nfn; ++i) {
-    const std::string_view symbol = kSymbols[start + i];
-    const std::uint64_t calls = 1 + host.rng.below(64);
-    fleet::codec::put_str(out, symbol);
-    fleet::codec::put_u64(out, calls);
-    fleet::codec::put_u64(out, calls * (20 + host.rng.below(40)));  // cycles
-    fleet::codec::put_u64(out, host.rng.below(16) == 0 ? 1 : 0);    // contained
-    // Only wctrans reports failures here — EINVAL on unknown mappings, the
-    // paper's own Fig 3 example of an errno histogram.
-    if (symbol == "wctrans" && host.rng.below(4) == 0) {
-      const std::uint64_t count = 1 + host.rng.below(3);
-      fleet::codec::put_u32(out, 1);
-      fleet::codec::put_u32(out, 22);  // EINVAL
-      fleet::codec::put_u64(out, count);
-      global_einval += count;
-    } else {
-      fleet::codec::put_u32(out, 0);
-    }
-  }
-  if (global_einval > 0) {
-    fleet::codec::put_u32(out, 1);
-    fleet::codec::put_u32(out, 22);
-    fleet::codec::put_u64(out, global_einval);
-  } else {
-    fleet::codec::put_u32(out, 0);
-  }
+  fleet::record::write(out, report);
   return out;
 }
 

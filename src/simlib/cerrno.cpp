@@ -19,8 +19,9 @@ std::string errno_name(int err) {
     case kENOSPC: return "ENOSPC";
     case kEDOM: return "EDOM";
     case kERANGE: return "ERANGE";
+    case kEOVERFLOW: return "EOVERFLOW";
     default:
-      if (err > 0 && err < kMaxErrno) return "E" + std::to_string(err);
+      if (err > 0 && err < kMaxErrno) return std::string("E").append(std::to_string(err));
       return "E?";
   }
 }
@@ -42,6 +43,7 @@ std::string errno_describe(int err) {
     case kENOSPC: return "No space left on device";
     case kEDOM: return "Numerical argument out of domain";
     case kERANGE: return "Numerical result out of range";
+    case kEOVERFLOW: return "Value too large for defined data type";
     default: return "Unknown error " + std::to_string(err);
   }
 }

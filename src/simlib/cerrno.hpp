@@ -25,6 +25,7 @@ inline constexpr int kEMFILE = 24;
 inline constexpr int kENOSPC = 28;
 inline constexpr int kEDOM = 33;
 inline constexpr int kERANGE = 34;
+inline constexpr int kEOVERFLOW = 75;
 
 // Upper bound for errno histograms (paper Fig 3: MAX_ERRNO).
 inline constexpr int kMaxErrno = 64;

@@ -64,8 +64,11 @@ inline constexpr std::uint8_t kCtCntrl = 0x40;
 // printf-engine shared by sprintf/snprintf/fprintf: formats `fmt` (a
 // simulated address) with ctx.args starting at `first_vararg`. Appends to
 // `out`. Faithfully fragile: %s chases the pointer without checks. Returns
-// early with the fault latched when an access faults.
-void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std::string& out);
+// early with the fault latched when an access faults. Returns false, with
+// errno set to EOVERFLOW, when a conversion's width exceeds INT_MAX; the
+// caller then returns -1 without writing anything.
+[[nodiscard]] bool format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg,
+                               std::string& out);
 
 }  // namespace detail
 

@@ -227,7 +227,9 @@ SimValue fn_strtod(CallContext& ctx) {
         ++q;
       }
       if (exp_any) {
-        value *= std::pow(10.0, exp_neg ? -exponent : exponent);
+        // A zero mantissa stays zero: pow() is inf from exponent 309 on,
+        // and 0 * inf would be NaN.
+        if (value != 0.0) value *= std::pow(10.0, exp_neg ? -exponent : exponent);
         p = q;
       }
     }

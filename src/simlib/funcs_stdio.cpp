@@ -343,8 +343,9 @@ SimValue fn_fprintf(CallContext& ctx) {
     return SimValue::integer(-1);
   }
   std::string out;
-  detail::format_into(ctx, ctx.arg_ptr(1), 2, out);
+  const bool fits = detail::format_into(ctx, ctx.arg_ptr(1), 2, out);
   if (ctx.machine.faulted()) return fault_return();
+  if (!fits) return SimValue::integer(-1);
   std::string* data = ctx.state.fs.contents_mut(file->path);
   if (data == nullptr) {
     ctx.machine.set_err(kEIO);
@@ -361,8 +362,9 @@ SimValue fn_sprintf(CallContext& ctx) {
   AddressSpace& as = ctx.machine.mem();
   const Addr dest = ctx.arg_ptr(0);
   std::string out;
-  detail::format_into(ctx, ctx.arg_ptr(1), 2, out);
+  const bool fits = detail::format_into(ctx, ctx.arg_ptr(1), 2, out);
   if (ctx.machine.faulted()) return fault_return();
+  if (!fits) return SimValue::integer(-1);
   // Unbounded write: the classic overflow vector.
   bulk::store_host(ctx.machine, dest, out.data(), out.size());
   // Unticked, as in the reference epilogue.
@@ -375,8 +377,9 @@ SimValue fn_snprintf(CallContext& ctx) {
   const Addr dest = ctx.arg_ptr(0);
   const std::uint64_t cap = ctx.arg_size(1);
   std::string out;
-  detail::format_into(ctx, ctx.arg_ptr(2), 3, out);
+  const bool fits = detail::format_into(ctx, ctx.arg_ptr(2), 3, out);
   if (ctx.machine.faulted()) return fault_return();
+  if (!fits) return SimValue::integer(-1);
   if (cap > 0) {
     const std::uint64_t n = std::min<std::uint64_t>(out.size(), cap - 1);
     bulk::store_host(ctx.machine, dest, out.data(), n);
@@ -445,8 +448,9 @@ SimValue fn_puts(CallContext& ctx) {
 
 SimValue fn_printf(CallContext& ctx) {
   std::string out;
-  detail::format_into(ctx, ctx.arg_ptr(0), 1, out);
+  const bool fits = detail::format_into(ctx, ctx.arg_ptr(0), 1, out);
   if (ctx.machine.faulted()) return fault_return();
+  if (!fits) return SimValue::integer(-1);
   ctx.state.stdout_capture += out;
   return SimValue::integer(static_cast<std::int64_t>(out.size()));
 }

@@ -5,6 +5,7 @@
 #include "simlib/cerrno.hpp"
 #include "simlib/funcs.hpp"
 #include "simlib/libstate.hpp"
+#include "simlib/printf_spec.hpp"
 
 namespace healers::simlib::detail {
 
@@ -59,7 +60,7 @@ mem::Addr ctype_table(CallContext& ctx) {
   return region.base + 128;
 }
 
-void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std::string& out) {
+bool format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std::string& out) {
   mem::AddressSpace& as = ctx.machine.mem();
   std::size_t arg = first_vararg;
   for (mem::Addr p = fmt;; ++p) {
@@ -72,7 +73,7 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
       const std::uint64_t extent = as.span_extent(p, mem::Perm::kRead);
       if (extent == 0) {
         bulk::replay_load(ctx.machine, p);
-        return;
+        return true;
       }
       const std::byte* sp = as.span(p, extent, mem::Perm::kRead);
       const std::uint64_t k = bulk::find_nul_or(sp, extent, '%');
@@ -86,33 +87,21 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
       }
       p += extent;
     }
-    if (done) return;
-    // Parse %[0][width][l]conv — the subset HEALERS workloads use.
-    std::uint8_t byte = 0;
-    ++p;
-    ctx.machine.tick();
-    if (!as.try_load8(p, byte)) return;
-    bool zero_pad = false;
-    if (byte == '0') {
-      zero_pad = true;
-      ++p;
-      if (!as.try_load8(p, byte)) return;
+    if (done) return true;
+    const auto read = [&](mem::Addr at, std::uint8_t& byte, bool ticked) {
+      if (ticked) ctx.machine.tick();
+      return as.try_load8(at, byte);
+    };
+    const std::optional<ConvSpec> parsed = parse_conv_spec(p, read);
+    if (!parsed) return true;
+    const ConvSpec& spec = *parsed;
+    if (spec.width_overflow) {
+      ctx.machine.set_err(kEOVERFLOW);
+      return false;
     }
-    int width = 0;
-    while (byte >= '0' && byte <= '9') {
-      width = width * 10 + (byte - '0');
-      ++p;
-      ctx.machine.tick();
-      if (!as.try_load8(p, byte)) return;
-    }
-    while (byte == 'l') {  // %ld / %lld width modifiers are a no-op at 64 bit
-      ++p;
-      ctx.machine.tick();
-      if (!as.try_load8(p, byte)) return;
-    }
-    const char conv = static_cast<char>(byte);
+    p = spec.end;
     std::string piece;
-    switch (conv) {
+    switch (spec.conv) {
       case '%':
         piece = "%";
         break;
@@ -150,7 +139,7 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
           const std::uint64_t extent = as.span_extent(q, mem::Perm::kRead);
           if (extent == 0) {
             bulk::replay_load(ctx.machine, q);
-            return;
+            return true;
           }
           const std::byte* sp = as.span(q, extent, mem::Perm::kRead);
           const void* hit = std::memchr(sp, 0, extent);
@@ -168,13 +157,14 @@ void format_into(CallContext& ctx, mem::Addr fmt, std::size_t first_vararg, std:
       }
       default:
         // Unknown conversion: emit verbatim, as glibc does.
-        piece = std::string("%") + conv;
+        piece = std::string("%") + spec.conv;
     }
-    if (width > static_cast<int>(piece.size())) {
+    if (spec.width > static_cast<int>(piece.size())) {
       // Zero padding goes after a number's sign: "%05d" of -42 is "-0042".
-      const bool numeric = conv == 'd' || conv == 'i' || conv == 'f';
-      const std::size_t at = zero_pad && numeric && piece.front() == '-' ? 1 : 0;
-      piece.insert(at, static_cast<std::size_t>(width) - piece.size(), zero_pad ? '0' : ' ');
+      const bool numeric = spec.conv == 'd' || spec.conv == 'i' || spec.conv == 'f';
+      const std::size_t at = spec.zero_pad && numeric && piece.front() == '-' ? 1 : 0;
+      piece.insert(at, static_cast<std::size_t>(spec.width) - piece.size(),
+                   spec.zero_pad ? '0' : ' ');
     }
     out += piece;
   }

@@ -15,6 +15,7 @@
 #include "simlib/cerrno.hpp"
 #include "simlib/libstate.hpp"
 #include "simlib/observer.hpp"
+#include "simlib/printf_spec.hpp"
 #include "wrappers/wrappers.hpp"
 
 namespace healers::wrappers {
@@ -120,9 +121,9 @@ namespace detail {
 // Safe printf-length pre-pass (libsafe carried its own format parser for
 // exactly this): computes the number of bytes the library's formatter will
 // produce for the format string at argument `fmt_index_1based`, using only
-// non-faulting reads. Mirrors simlib's format_into subset. nullopt when the
-// format or a %s argument cannot be safely measured (the caller then falls
-// back to the conservative policy). Shared with the repair wrapper
+// non-faulting reads and simlib's own conversion-spec parser. nullopt when
+// the format or a %s argument cannot be safely measured (the caller then
+// falls back to the conservative policy). Shared with the repair wrapper
 // (declared in wrappers.hpp).
 std::optional<std::uint64_t> safe_formatted_length(CallContext& ctx, int fmt_index_1based) {
   const mem::AddressSpace& space = ctx.machine.mem();
@@ -147,28 +148,18 @@ std::optional<std::uint64_t> safe_formatted_length(CallContext& ctx, int fmt_ind
       }
     }
     if (c == '\0') return length;
-    ++p;
-    if (!space.accessible(p, 1, mem::Perm::kRead)) return std::nullopt;
-    char conv = static_cast<char>(space.load8(p));
-    if (conv == '0') {
-      ++p;
-      if (!space.accessible(p, 1, mem::Perm::kRead)) return std::nullopt;
-      conv = static_cast<char>(space.load8(p));
-    }
-    int width = 0;
-    while (conv >= '0' && conv <= '9') {
-      width = width * 10 + (conv - '0');
-      ++p;
-      if (!space.accessible(p, 1, mem::Perm::kRead)) return std::nullopt;
-      conv = static_cast<char>(space.load8(p));
-    }
-    while (conv == 'l') {
-      ++p;
-      if (!space.accessible(p, 1, mem::Perm::kRead)) return std::nullopt;
-      conv = static_cast<char>(space.load8(p));
-    }
+    const auto read = [&space](mem::Addr at, std::uint8_t& byte, bool /*ticked*/) {
+      if (!space.accessible(at, 1, mem::Perm::kRead)) return false;
+      byte = space.load8(at);
+      return true;
+    };
+    const std::optional<simlib::ConvSpec> spec = simlib::parse_conv_spec(p, read);
+    if (!spec) return std::nullopt;
+    // The library fails such a call with EOVERFLOW before writing a byte.
+    if (spec->width_overflow) return 0;
+    p = spec->end;
     std::uint64_t piece = 0;
-    switch (conv) {
+    switch (spec->conv) {
       case '%':
         piece = 1;
         break;
@@ -210,7 +201,7 @@ std::optional<std::uint64_t> safe_formatted_length(CallContext& ctx, int fmt_ind
       default:
         piece = 2;  // emitted verbatim: '%' + conv
     }
-    length += std::max<std::uint64_t>(piece, static_cast<std::uint64_t>(width));
+    length += std::max<std::uint64_t>(piece, static_cast<std::uint64_t>(spec->width));
     ++p;  // past the conversion character
   }
 }
@@ -355,7 +346,7 @@ class ArgCheckGen : public gen::MicroGenerator {
             : (ctx.proto.return_type.classify() == parser::TypeClass::kFloating ? "NAN" : "-1");
     const std::string contain = "{ errno = EINVAL; return " + err + "; }";
     for (const CompiledArg& arg : compile_checks(ctx, source_)) {
-      const std::string a = "a" + std::to_string(arg.index_0based + 1);
+      const std::string a = std::string("a").append(std::to_string(arg.index_0based + 1));
       if (!arg.any()) continue;
       if (!arg.is_pointer) {
         if (arg.range) {

@@ -292,7 +292,7 @@ class RepairGen : public gen::MicroGenerator {
     const std::string err = ctx.proto.return_type.is_pointer() ? "NULL" : "-1";
     std::string out;
     for (const RepairRule& rule : fn->rules) {
-      const std::string a = "a" + std::to_string(rule.arg_index);
+      const std::string a = std::string("a").append(std::to_string(rule.arg_index));
       switch (rule.action) {
         case RepairAction::kTruncateWrite:
           out += "  a" + std::to_string(rule.clamp_arg) + " = healers_repair_clamp(" + a +

@@ -84,6 +84,25 @@ TEST(DemandLoading, FaultsInOnlyWhatTheRunTouches) {
   }
 }
 
+// docs/debloat.md: each demo run leaves over 90% of the catalog's text
+// pages unmapped.
+TEST(DemandLoading, DemoRunsLeaveOverNinetyPercentOfPagesUnmapped) {
+  struct Row {
+    linker::Executable exe;
+    std::uint64_t resident_pages;
+  };
+  for (const Row& row : {Row{attacks::heap_victim_executable(), 5},
+                         Row{attacks::drift_victim_executable(), 2}}) {
+    const ReachabilityReport report = compute_reachability(row.exe, toolkit().catalog());
+    auto proc = spawn_debloated(row.exe, toolkit().catalog(), report);
+    (void)proc->run(row.exe.entry);
+    const SurfaceProfile profile = capture_surface_profile(*proc, report, "test");
+    EXPECT_EQ(profile.total_pages, 80u) << row.exe.name;
+    EXPECT_EQ(profile.resident_pages, row.resident_pages) << row.exe.name;
+    EXPECT_GT(profile.unmapped_ratio(), 0.90) << row.exe.name;
+  }
+}
+
 TEST(DemandLoading, OutOfProfileCallTrapsAsSurfaceViolation) {
   const linker::Executable exe = attacks::drift_victim_executable();
   const ReachabilityReport report = compute_reachability(exe, toolkit().catalog());
@@ -232,6 +251,27 @@ TEST(SurfaceScope, ScopedCampaignProbesOnlyTheScope) {
   ASSERT_TRUE(full.ok());
   EXPECT_GT(full.value().specs.size(), scoped.value().specs.size());
   EXPECT_EQ(kit.export_campaigns().size(), 1u);
+}
+
+// docs/debloat.md: a seed-2003 libsimc campaign scoped to netd's closure
+// against the whole-library campaign.
+TEST(SurfaceScope, ScopedCampaignProbesAFractionOfTheLibrary) {
+  const ReachabilityReport report =
+      compute_reachability(attacks::heap_victim_executable(), toolkit().catalog());
+  injector::InjectorConfig config;
+  config.seed = 2003;
+  for (const std::string& symbol : report.reachable) {
+    if (testbed::libsimc().defines(symbol)) config.only_functions.push_back(symbol);
+  }
+  core::Toolkit kit;
+  const auto scoped = kit.derive_robust_api("libsimc.so.1", config);
+  config.only_functions.clear();
+  const auto full = kit.derive_robust_api("libsimc.so.1", config);
+  ASSERT_TRUE(scoped.ok());
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(scoped.value().specs.size(), 5u);
+  EXPECT_EQ(scoped.value().total_probes(), 124u);
+  EXPECT_EQ(full.value().total_probes(), 1676u);
 }
 
 TEST(SurfaceScope, InstallAndUnionPerLibrary) {

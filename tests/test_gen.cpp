@@ -214,6 +214,30 @@ class ShortCircuitGen : public MicroGenerator {
   std::vector<std::string>& log_;
 };
 
+// A1 (EXPERIMENTS.md): simulated cycles of one strlen call as the Fig 3
+// features are composed one at a time, then the trace feature on top. Each
+// micro-generator adds the same constant.
+TEST_F(ComposerFixture, EachComposedMicroGeneratorAddsSixCycles) {
+  const std::vector<MicroGeneratorPtr> features = {exectime_gen(), collect_errors_gen(),
+                                                   func_errors_gen(), call_counter_gen(),
+                                                   log_call_gen()};
+  std::vector<std::uint64_t> cycles;
+  for (std::size_t n = 0; n <= features.size(); ++n) {
+    std::vector<MicroGeneratorPtr> gens = {prototype_gen()};
+    gens.insert(gens.end(), features.begin(), features.begin() + static_cast<std::ptrdiff_t>(n));
+    gens.push_back(caller_gen());
+    auto wrapped = testbed::make_process();
+    wrapped->preload(build(gens));
+    const mem::Addr s = wrapped->rodata_cstring("ablation-probe");
+    const std::uint64_t before = wrapped->machine().rdtsc();
+    for (int call = 0; call < 3; ++call) wrapped->call("strlen", {P(s)});
+    const std::uint64_t total = wrapped->machine().rdtsc() - before;
+    EXPECT_EQ(total % 3, 0u) << n << " features: calls differ in cost";
+    cycles.push_back(total / 3);
+  }
+  EXPECT_EQ(cycles, (std::vector<std::uint64_t>{16, 22, 28, 34, 40, 46}));
+}
+
 TEST_F(ComposerFixture, ShortCircuitSkipsCallAndPostfixes) {
   std::vector<std::string> log;
   WrapperBuilder builder("sc");
@@ -249,6 +273,16 @@ TEST(WrapperBuilder, EmitLibrarySourceContainsEveryFunction) {
   for (const std::string& name : testbed::libsimm().names()) {
     EXPECT_NE(source.value().find("addr_" + name), std::string::npos) << name;
   }
+}
+
+// Fig 3 (EXPERIMENTS.md): the whole-library source of the Fig 3 wrapper.
+TEST(WrapperBuilder, Fig3WholeLibrarySourceSize) {
+  WrapperBuilder builder("profiling-wrapper");
+  for (const auto& gen : fig3_list()) builder.add(gen);
+  const auto source = builder.emit_library_source(testbed::libsimc());
+  ASSERT_TRUE(source.ok());
+  EXPECT_EQ(testbed::libsimc().size(), 60u);
+  EXPECT_EQ(source.value().size(), 68920u);
 }
 
 TEST(WrapperBuilder, RejectsNullGenerator) {

@@ -3,6 +3,8 @@
 // and the robust-spec XML round trip.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "injector/injector.hpp"
 #include "testbed.hpp"
 
@@ -135,6 +137,38 @@ TEST_F(InjectorFixture, CampaignCoversEveryFunctionAndIsDeterministic) {
   EXPECT_EQ(ra.value().specs.size(), testbed::libsimm().size());
   EXPECT_EQ(ra.value().total_probes(), rb.value().total_probes());
   EXPECT_EQ(ra.value().total_failures(), rb.value().total_failures());
+}
+
+// Fig 2 (EXPERIMENTS.md): the seed-2003 campaigns, two variants per fuzzy
+// type. The pointer-taking libraries fail often; value-in/value-out math
+// never does.
+TEST_F(InjectorFixture, Fig2FailureRatesAtSeed2003) {
+  config.seed = 2003;
+  config.variants = 2;
+  struct Row {
+    const simlib::SharedLibrary* lib;
+    std::uint64_t probes;
+    std::uint64_t failures;
+    std::size_t non_robust;
+    std::size_t functions;
+    const char* rate;
+  };
+  for (const Row& row : {Row{&testbed::libsimc(), 1676, 688, 49, 60, "41.1"},
+                         Row{&testbed::libsimio(), 524, 307, 19, 20, "58.6"},
+                         Row{&testbed::libsimm(), 78, 0, 0, 11, "0.0"}}) {
+    const auto campaign = FaultInjector(catalog, config).run_campaign(*row.lib);
+    ASSERT_TRUE(campaign.ok()) << row.lib->soname();
+    const CampaignResult& result = campaign.value();
+    EXPECT_EQ(result.total_probes(), row.probes) << row.lib->soname();
+    EXPECT_EQ(result.total_failures(), row.failures) << row.lib->soname();
+    EXPECT_EQ(result.functions_with_failures(), row.non_robust) << row.lib->soname();
+    EXPECT_EQ(result.specs.size(), row.functions) << row.lib->soname();
+    char rate[16];
+    std::snprintf(rate, sizeof rate, "%.1f",
+                  100.0 * static_cast<double>(result.total_failures()) /
+                      static_cast<double>(result.total_probes()));
+    EXPECT_STREQ(rate, row.rate) << row.lib->soname();
+  }
 }
 
 TEST_F(InjectorFixture, CampaignProgressCallbackFires) {

@@ -62,38 +62,17 @@ class FullHardeningSweep : public ::testing::TestWithParam<HardeningCase> {};
 
 TEST_P(FullHardeningSweep, WrappedFunctionNeverFailsAnyProbe) {
   const auto& [lib, name] = GetParam();
-  const simlib::Symbol* symbol = lib->find(name);
-  const auto page = parser::parse_manpage(symbol->manpage).value();
+  const parser::ManPage& page = lib->parsed_manpage(name).value();
   if (page.noreturn) GTEST_SKIP() << "noreturn";
-  const injector::CampaignResult& campaign = campaign_for(*lib);
-
-  int probes = 0;
-  for (std::size_t i = 0; i < page.proto.params.size(); ++i) {
-    for (const lattice::TestTypeId id :
-         lattice::test_types_for(page.proto.params[i].type.classify())) {
-      for (std::size_t case_index = 0;; ++case_index) {
-        auto proc = testbed::make_process();
-        proc->state().stdin_content = "a line of console input for the probe\n";
-        proc->preload(wrappers::make_robustness_wrapper(*lib, campaign).value());
-        Rng rng(7 + case_index);
-        lattice::ValueFactory factory(*proc, rng);
-        const auto cases = factory.cases_of(id, 1);
-        if (case_index >= cases.size()) break;
-        std::vector<simlib::SimValue> args;
-        for (std::size_t j = 0; j < page.proto.params.size(); ++j) {
-          args.push_back(j == i ? cases[case_index].value
-                                : factory.safe_value(page, static_cast<int>(j) + 1));
-        }
-        const auto outcome = proc->supervised_call(name, std::move(args));
-        ++probes;
-        ASSERT_FALSE(outcome.robustness_failure())
-            << name << " arg" << (i + 1) << " " << lattice::to_string(id) << " case "
-            << case_index << ": " << outcome.to_string();
-      }
-    }
+  const auto probes = testbed::replay_probes(
+      *lib, name, 7, {wrappers::make_robustness_wrapper(*lib, campaign_for(*lib)).value()});
+  for (const testbed::ReplayedProbe& probe : probes) {
+    ASSERT_FALSE(probe.outcome.robustness_failure())
+        << name << " arg" << (probe.arg + 1) << " " << lattice::to_string(probe.type)
+        << " case " << probe.case_index << ": " << probe.outcome.to_string();
   }
   if (!page.proto.params.empty()) {
-    EXPECT_GT(probes, 0);
+    EXPECT_GT(probes.size(), 0u);
   }
 }
 
@@ -111,6 +90,37 @@ std::vector<HardeningCase> all_cases() {
 INSTANTIATE_TEST_SUITE_P(AllStockFunctions, FullHardeningSweep,
                          ::testing::ValuesIn(all_cases()),
                          [](const auto& info) { return info.param.function; });
+
+// C2 (EXPERIMENTS.md): the same probes, run once against each bare library
+// and once with the robustness wrapper derived from the seed-4242 campaign.
+TEST(HardeningEffect, WrapperRemovesEveryFailureOfTheSameProbes) {
+  std::size_t probes = 0;
+  std::size_t failures_bare = 0;
+  std::size_t failures_wrapped = 0;
+  for (const simlib::SharedLibrary* lib :
+       {&testbed::libsimc(), &testbed::libsimio(), &testbed::libsimm()}) {
+    injector::InjectorConfig config;
+    config.seed = 4242;
+    config.variants = 1;
+    const auto campaign = injector::FaultInjector(stock_catalog(), config).run_campaign(*lib);
+    ASSERT_TRUE(campaign.ok()) << lib->soname();
+    const auto wrapper = wrappers::make_robustness_wrapper(*lib, campaign.value()).value();
+    for (const std::string& name : lib->names()) {
+      if (lib->parsed_manpage(name).value().noreturn) continue;
+      const auto bare = testbed::replay_probes(*lib, name, config.seed, {});
+      const auto wrapped = testbed::replay_probes(*lib, name, config.seed, {wrapper});
+      ASSERT_EQ(bare.size(), wrapped.size()) << name;
+      probes += bare.size();
+      for (std::size_t i = 0; i < bare.size(); ++i) {
+        failures_bare += bare[i].outcome.robustness_failure() ? 1 : 0;
+        failures_wrapped += wrapped[i].outcome.robustness_failure() ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(probes, 2138u);
+  EXPECT_EQ(failures_bare, 884u);
+  EXPECT_EQ(failures_wrapped, 0u);
+}
 
 // --- P2: transparency for valid calls ----------------------------------------
 

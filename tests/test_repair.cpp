@@ -375,6 +375,23 @@ TEST(RepairSurvival, HeapSmashCompletesWithCorrectOutputUnderRepair) {
   EXPECT_EQ(event.granted, 64u);
 }
 
+TEST(RepairSurvival, StackSmashCompletesWithOneBoundedCopyUnderRepair) {
+  const auto wrapper =
+      toolkit().repair_wrapper("libsimc.so.1", toolkit().derive_robust_api("libsimc.so.1").value());
+  ASSERT_TRUE(wrapper.ok());
+  incident::FlightRecorder recorder;
+  const auto result =
+      attacks::run_stack_smash_attack(toolkit().catalog(), {wrapper.value()}, &recorder);
+  EXPECT_TRUE(result.survived) << result.outcome.to_string();
+  EXPECT_FALSE(result.hijack_succeeded);
+  EXPECT_FALSE(result.blocked_by_wrapper);
+  ASSERT_EQ(recorder.dossiers().size(), 1u);
+  const incident::Dossier& dossier = recorder.dossiers().front();
+  ASSERT_EQ(dossier.repairs.size(), 1u);
+  EXPECT_EQ(dossier.repairs.front().symbol, "strcpy");
+  EXPECT_EQ(dossier.repairs.front().action, RepairAction::kSubstituteBounded);
+}
+
 TEST(RepairSurvival, UnprotectedBaselineStillHijacked) {
   const auto plain = attacks::run_heap_smash_attack(toolkit().catalog(), {});
   EXPECT_TRUE(plain.hijack_succeeded);

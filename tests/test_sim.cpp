@@ -238,6 +238,26 @@ TEST(FleetSimTest, BurstShedsAreCountedAndDelivered) {
   EXPECT_EQ(stats.responses_error, 0u);
 }
 
+// EXPERIMENTS.md's F7 overload row (bench_f7_fleet_sim's BM_SimOverload):
+// 100k crash-loop hosts against 2 collector shards of 2048 and a derive
+// queue of 64 drop and shed exact, counted shares of their traffic.
+TEST(FleetSimTest, OverloadDropAndShedCounts) {
+  SimConfig config;
+  config.hosts = 100'000;
+  config.virtual_seconds = 60;
+  config.seed = 2003;
+  config.traffic = TrafficModel::kCrashLoop;
+  config.collector.shards = 2;
+  config.collector.queue_capacity = 2048;
+  config.server.queue_capacity = 64;
+  FleetSim simulation(shared_toolkit(), config);
+  const SimStats stats = simulation.run();
+  EXPECT_EQ(simulation.collector().submitted(), 1318930u);
+  EXPECT_EQ(simulation.collector().dropped(), 1073170u);  // 81.4%
+  EXPECT_EQ(stats.derive_requests, 133575u);
+  EXPECT_EQ(stats.responses_shed, 125895u);  // 94.3%
+}
+
 // --- take_response ---------------------------------------------------------
 
 TEST(FleetSimTest, TakeResponseRetiresTheTicket) {

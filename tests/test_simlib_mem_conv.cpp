@@ -213,6 +213,19 @@ TEST_F(MemConvFixture, StrtodHugeExponentOverflowsToInfinity) {
   EXPECT_EQ(proc->call("strtod", {P(str("1e-99999999999")), P(0)}).as_double(), 0.0);
 }
 
+TEST_F(MemConvFixture, StrtodZeroMantissaStaysZeroWhateverTheExponent) {
+  for (const char* text : {"0e400", "0.0e500", "-0e99999999999"}) {
+    const mem::Addr s = str(text);
+    const mem::Addr endptr = buf(8);
+    proc->machine().set_err(simlib::kEINVAL);
+    const double v = proc->call("strtod", {P(s), P(endptr)}).as_double();
+    EXPECT_EQ(v, 0.0) << text;
+    EXPECT_EQ(std::signbit(v), text[0] == '-') << text;
+    EXPECT_EQ(proc->machine().err(), simlib::kEINVAL) << text;
+    EXPECT_EQ(mem().load64(endptr), s + std::string(text).size()) << text;
+  }
+}
+
 TEST_F(MemConvFixture, StrtodEndptrAfterFloat) {
   const mem::Addr s = str("1.5e2rest");
   const mem::Addr endptr = buf(8);

@@ -201,6 +201,27 @@ TEST_F(StdioFixture, SprintfZeroPadsAfterTheSign) {
   EXPECT_EQ(mem().read_cstring(dst), "[-0042][  -42][-07]");
 }
 
+TEST_F(StdioFixture, WidthAboveIntMaxFailsWithEoverflowBeforeWriting) {
+  const mem::Addr dst = buf(16);
+  mem().store8(dst, '#');
+  EXPECT_EQ(proc->call("sprintf", {P(dst), P(str("[%2147483648d]")), I(7)}).as_int(), -1);
+  EXPECT_EQ(proc->machine().err(), simlib::kEOVERFLOW);
+  EXPECT_EQ(mem().load8(dst), '#');
+  proc->machine().set_err(0);
+  EXPECT_EQ(proc->call("snprintf", {P(dst), I(16), P(str("%099999999999d")), I(7)}).as_int(), -1);
+  EXPECT_EQ(proc->machine().err(), simlib::kEOVERFLOW);
+  EXPECT_EQ(mem().load8(dst), '#');
+  proc->machine().set_err(0);
+  EXPECT_EQ(proc->call("printf", {P(str("ok %d %2147483648ld")), I(1), I(2)}).as_int(), -1);
+  EXPECT_EQ(proc->machine().err(), simlib::kEOVERFLOW);
+  EXPECT_EQ(proc->state().stdout_capture, "");
+  // A width that fits pads as before.
+  proc->machine().set_err(0);
+  EXPECT_EQ(proc->call("sprintf", {P(dst), P(str("[%3d]")), I(7)}).as_int(), 5);
+  EXPECT_EQ(mem().read_cstring(dst), "[  7]");
+  EXPECT_EQ(proc->machine().err(), 0);
+}
+
 TEST_F(StdioFixture, SprintfOverflowsUnboundedly) {
   const mem::Addr small = buf(4);
   EXPECT_THROW(

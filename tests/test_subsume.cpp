@@ -275,6 +275,31 @@ TEST_F(DifferentialFixture, PrunedCampaignsAreByteIdenticalAndExecuteAtMost60Per
 // Cross-campaign learning: a store warmed by the whole catalog must let a
 // repeat campaign over related signatures skip strictly more probes than the
 // cold walk did.
+// EXPERIMENTS.md's pruning table: each campaign in a fresh injector, as
+// `healers derive <lib> --seed 2003 --stats [--no-prune]` runs it.
+TEST_F(DifferentialFixture, PrunedWalkExecutesTheQuotedProbeCounts) {
+  struct Row {
+    const simlib::SharedLibrary* lib;
+    std::uint64_t probes;
+    std::uint64_t failures;
+    std::uint64_t executed_pruned;
+  };
+  for (const Row& row : {Row{&testbed::libsimc(), 1570, 604, 906},
+                         Row{&testbed::libsimio(), 490, 280, 330}}) {
+    for (const bool prune : {false, true}) {
+      injector::InjectorConfig config = base_config();
+      config.prune = prune;
+      injector::FaultInjector injector(catalog, config);
+      const auto campaign = injector.run_campaign(*row.lib);
+      ASSERT_TRUE(campaign.ok()) << row.lib->soname();
+      EXPECT_EQ(campaign.value().total_probes(), row.probes) << row.lib->soname();
+      EXPECT_EQ(campaign.value().total_failures(), row.failures) << row.lib->soname();
+      EXPECT_EQ(injector.probes_executed(), prune ? row.executed_pruned : row.probes)
+          << row.lib->soname() << (prune ? " pruned" : " unpruned");
+    }
+  }
+}
+
 TEST_F(DifferentialFixture, WarmProfileStorePrunesStrictlyMoreThanCold) {
   const injector::InjectorConfig config = base_config();
 

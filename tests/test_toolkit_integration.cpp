@@ -171,6 +171,44 @@ TEST_F(ToolkitFixture, RobustnessAndSecurityStackForOneProcess) {
   EXPECT_EQ(robustness->stats()->total_contained(), 1u);
 }
 
+// C1 (EXPERIMENTS.md): the simulated cycles each wrapper adds to a strlen
+// call, alone and stacked, on a 9-byte and a 256-byte string, and to a call
+// of a symbol the wrapper does not wrap.
+TEST_F(ToolkitFixture, WrapperOverheadIsAConstantPerCall) {
+  config.seed = 1;
+  const auto campaign = toolkit.derive_robust_api("libsimc.so.1", config);
+  ASSERT_TRUE(campaign.ok());
+  const auto profiling = toolkit.profiling_wrapper("libsimc.so.1").value();
+  const auto robustness = toolkit.robustness_wrapper("libsimc.so.1", campaign.value()).value();
+  const auto security = toolkit.security_wrapper("libsimc.so.1").value();
+  linker::Executable exe;
+  exe.name = "overhead";
+  exe.needed = {"libsimc.so.1", "libsimm.so.1"};
+  exe.undefined = {"strlen", "sqrt"};
+  const auto strlen_cycles = [&](std::vector<linker::InterpositionPtr> preloads,
+                                 std::size_t length) {
+    auto proc = toolkit.spawn(exe, std::move(preloads));
+    const mem::Addr s = proc->rodata_cstring(std::string(length, 'x'));
+    const std::uint64_t before = proc->machine().rdtsc();
+    proc->call("strlen", {P(s)});
+    return proc->machine().rdtsc() - before;
+  };
+  for (const auto& [length, bare] : {std::pair<std::size_t, std::uint64_t>{9, 11}, {256, 258}}) {
+    EXPECT_EQ(strlen_cycles({}, length), bare) << length;
+    EXPECT_EQ(strlen_cycles({profiling}, length), bare + 24) << length;
+    EXPECT_EQ(strlen_cycles({robustness}, length), bare + 24) << length;
+    EXPECT_EQ(strlen_cycles({security}, length), bare + 12) << length;
+    EXPECT_EQ(strlen_cycles({profiling, robustness, security}, length), bare + 60) << length;
+  }
+  const auto sqrt_cycles = [&](std::vector<linker::InterpositionPtr> preloads) {
+    auto proc = toolkit.spawn(exe, std::move(preloads));
+    const std::uint64_t before = proc->machine().rdtsc();
+    proc->call("sqrt", {simlib::SimValue::fp(1764.0)});
+    return proc->machine().rdtsc() - before;
+  };
+  EXPECT_EQ(sqrt_cycles({profiling}), sqrt_cycles({}));
+}
+
 TEST_F(ToolkitFixture, SpawnKeepsLibrariesBorrowedFromToolkit) {
   linker::Executable app;
   app.name = "borrower";

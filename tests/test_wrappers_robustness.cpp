@@ -233,6 +233,18 @@ TEST_F(IoRobustnessFixture, SprintfFormattedSizeDegradesToOneByteCheck) {
   EXPECT_FALSE(outcome.robustness_failure());
 }
 
+TEST_F(IoRobustnessFixture, SprintfWidthOverflowReachesTheLibrary) {
+  // The pre-pass sees the overflow the library fails on before writing a
+  // byte, so it lets the call through rather than demanding a 2 GB buffer.
+  const mem::Addr dst = proc->scratch(4);
+  const auto outcome =
+      proc->supervised_call("sprintf", {P(dst), P(str("[%2147483648d]")), I(7)});
+  EXPECT_FALSE(outcome.robustness_failure());
+  EXPECT_EQ(outcome.ret.as_int(), -1);
+  EXPECT_EQ(proc->machine().err(), simlib::kEOVERFLOW);
+  EXPECT_EQ(proc->machine().mem().load8(dst), 0u);
+}
+
 // The C2-style hardening sweep: for every libsimc function, re-run the
 // hostile probes under the wrapper; no probe may produce a robustness
 // failure for argument classes the wrapper checks.
@@ -240,32 +252,13 @@ class HardeningSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HardeningSweep, WrappedFunctionSurvivesWholeLattice) {
   const std::string name = GetParam();
-  const simlib::Symbol* symbol = testbed::libsimc().find(name);
-  ASSERT_NE(symbol, nullptr);
-  const auto page = parser::parse_manpage(symbol->manpage).value();
-
-  for (std::size_t i = 0; i < page.proto.params.size(); ++i) {
-    for (const lattice::TestTypeId id :
-         lattice::test_types_for(page.proto.params[i].type.classify())) {
-      for (std::size_t case_index = 0;; ++case_index) {
-        auto proc = testbed::make_process();
-        proc->state().stdin_content = "a line of console input for the probe\n";
-        proc->preload(make_robustness_wrapper(testbed::libsimc(), campaign_c()).value());
-        Rng rng(99);
-        lattice::ValueFactory factory(*proc, rng);
-        const auto cases = factory.cases_of(id, 1);
-        if (case_index >= cases.size()) break;
-        std::vector<simlib::SimValue> args;
-        for (std::size_t j = 0; j < page.proto.params.size(); ++j) {
-          args.push_back(j == i ? cases[case_index].value
-                                : factory.safe_value(page, static_cast<int>(j) + 1));
-        }
-        const auto outcome = proc->supervised_call(name, std::move(args));
-        EXPECT_FALSE(outcome.robustness_failure())
-            << name << " arg" << (i + 1) << " " << lattice::to_string(id) << ": "
-            << outcome.to_string();
-      }
-    }
+  ASSERT_NE(testbed::libsimc().find(name), nullptr);
+  for (const testbed::ReplayedProbe& probe : testbed::replay_probes(
+           testbed::libsimc(), name, 99,
+           {make_robustness_wrapper(testbed::libsimc(), campaign_c()).value()})) {
+    EXPECT_FALSE(probe.outcome.robustness_failure())
+        << name << " arg" << (probe.arg + 1) << " " << lattice::to_string(probe.type) << ": "
+        << probe.outcome.to_string();
   }
 }
 
@@ -275,6 +268,40 @@ INSTANTIATE_TEST_SUITE_P(LibsimcCore, HardeningSweep,
                                            "strtol", "memcpy", "memset", "memcmp", "free",
                                            "isalpha", "toupper", "wctrans"),
                          [](const auto& info) { return info.param; });
+
+// A2 (EXPERIMENTS.md): the seed-99 libsimc probes replayed bare and under
+// wrappers built from each knowledge source. Each source alone leaves
+// failures only the other names; together they leave none.
+TEST(CheckSourceAblation, EachSourceAloneLeavesFailuresTheUnionRemoves) {
+  linker::LibraryCatalog catalog;
+  catalog.install(&testbed::libsimc());
+  catalog.install(&testbed::libsimio());
+  catalog.install(&testbed::libsimm());
+  injector::InjectorConfig config;
+  config.seed = 99;
+  config.variants = 1;
+  const auto campaign = injector::FaultInjector(catalog, config).run_campaign(testbed::libsimc());
+  ASSERT_TRUE(campaign.ok());
+  const auto failures = [&](std::vector<linker::InterpositionPtr> preloads) {
+    std::size_t failed = 0;
+    for (const std::string& name : testbed::libsimc().names()) {
+      if (testbed::libsimc().parsed_manpage(name).value().noreturn) continue;
+      for (const auto& probe : testbed::replay_probes(testbed::libsimc(), name, config.seed,
+                                                      preloads)) {
+        failed += probe.outcome.robustness_failure() ? 1 : 0;
+      }
+    }
+    return failed;
+  };
+  const auto wrapped = [&](CheckSource source) {
+    return failures(
+        {make_robustness_wrapper(testbed::libsimc(), campaign.value(), source).value()});
+  };
+  EXPECT_EQ(failures({}), 604u);
+  EXPECT_EQ(wrapped(CheckSource::kAnnotationsOnly), 29u);
+  EXPECT_EQ(wrapped(CheckSource::kDerivedOnly), 9u);
+  EXPECT_EQ(wrapped(CheckSource::kDerivedAndAnnotations), 0u);
+}
 
 }  // namespace
 }  // namespace healers::wrappers

@@ -322,13 +322,13 @@ TEST(XmlRoundTrip, SerializedTreeParsesBackIdentically) {
 TEST(XmlRoundTrip, DeepNesting) {
   Node root("l0");
   Node* cur = &root;
-  for (int i = 1; i < 20; ++i) cur = &cur->add_child("l" + std::to_string(i));
+  for (int i = 1; i < 20; ++i) cur = &cur->add_child(std::string("l").append(std::to_string(i)));
   cur->set_text("bottom");
   auto reparsed = parse(serialize(root));
   ASSERT_TRUE(reparsed.ok());
   const Node* walk = &reparsed.value();
   for (int i = 1; i < 20; ++i) {
-    walk = walk->child("l" + std::to_string(i));
+    walk = walk->child(std::string("l").append(std::to_string(i)));
     ASSERT_NE(walk, nullptr) << "level " << i;
   }
   EXPECT_EQ(walk->text(), "bottom");
