@@ -9,8 +9,9 @@
 # Every row runs on the wall clock, five repetitions, reported as mean,
 # median, stddev and cv. Each artifact's context is stamped with the host's
 # core count, the compiler, the build type, the git commit and a digest of
-# src/ and bench/ (computed as perfbench/run.py's source_digest() does), and
-# the script checks every artifact it writes against that stamp.
+# src/ and bench/ (tools/bench_stamps.py's, computed as perfbench/run.py's
+# source_digest() does), and the script checks every artifact it writes
+# against that stamp.
 #
 # Benchmarks are only meaningful from an optimized, assertion-free build, so
 # this script builds and uses the `release` preset (-O3 -DNDEBUG) by default
@@ -68,18 +69,10 @@ done
 
 cmake --build "$build" -j --target "${benches[@]}"
 
+# tools/bench_stamps.py holds the one definition of the digest, and reports
+# which committed artifacts it no longer matches.
 source_digest() {
-  python3 - "$root" <<'EOF'
-import hashlib, pathlib, sys
-root = pathlib.Path(sys.argv[1])
-digest = hashlib.sha256()
-for top in (root / "src", root / "bench"):
-    for path in sorted(p for p in top.rglob("*")
-                       if p.is_file() and "__pycache__" not in p.parts):
-        digest.update(str(path.relative_to(root)).encode() + b"\0")
-        digest.update(path.read_bytes())
-print(digest.hexdigest()[:16])
-EOF
+  python3 "$root/tools/bench_stamps.py" --digest
 }
 
 cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' "$build/CMakeCache.txt")"

@@ -63,7 +63,7 @@ int main() {
   // Robust-API specs are exchanged as XML; round-trip one.
   const std::string doc = xml::serialize(campaign.spec("strcpy")->to_xml());
   std::printf("robust-spec XML for strcpy:\n%s\n", doc.c_str());
-  const auto reparsed = injector::RobustSpec::from_xml(xml::parse(doc).value());
+  const auto reparsed = injector::RobustSpec::from_xml(doc);
   std::printf("round-trip: %s (%llu probes)\n", reparsed.value().function.c_str(),
               static_cast<unsigned long long>(reparsed.value().total_probes));
   return 0;

@@ -1,6 +1,8 @@
 #include "debloat/surface.hpp"
 
+#include <array>
 #include <sstream>
+#include <utility>
 
 #include "xml/xml.hpp"
 
@@ -16,16 +18,13 @@ void add_symbol_list(xml::Node& root, const std::string& name,
   }
 }
 
-Status read_symbol_list(const xml::Node& root, std::string_view name,
-                        std::vector<std::string>& out) {
-  const xml::Node* list = root.child(name);
-  if (list == nullptr) return Error("surface-profile: missing <" + std::string(name) + ">");
-  for (const xml::Node* row : list->children_named("symbol")) {
-    xml::AttrReader symbol(*row);
-    symbol.str("name", out.emplace_back());
-    if (!symbol.ok()) return symbol.error();
-  }
-  return Status::success();
+// Reads the <symbol name=> rows of the list element `in` stands at.
+Status read_symbol_list(xml::Reader& in, std::vector<std::string>& out) {
+  return xml::read_rows(in, "symbol", out, [&in](std::string& symbol) {
+    xml::AttrReader row(in);
+    row.str("name", symbol);
+    return row.ok() ? Status::success() : Status(row.error());
+  });
 }
 
 int percent(double ratio) { return static_cast<int>(ratio * 100.0 + 0.5); }
@@ -85,18 +84,13 @@ std::string SurfaceProfile::to_text() const {
   return out.str();
 }
 
-Result<SurfaceProfile> surface_from_xml(std::string_view document) {
-  auto parsed = xml::parse(document);
-  if (!parsed.ok()) return parsed.error();
-  return surface_from_xml(parsed.value());
-}
-
-Result<SurfaceProfile> surface_from_xml(const xml::Node& root) {
-  if (root.name() != "surface-profile") {
+Status surface_from_xml(xml::Reader& in, SurfaceProfile& out) {
+  if (in.name() != "surface-profile") {
     return Error("surface-profile: root element is not <surface-profile>");
   }
-  SurfaceProfile out;
-  xml::AttrReader attrs(root);
+  out.host.clear();
+  out.executable.clear();
+  xml::AttrReader attrs(in);
   attrs.str("host", out.host, xml::kOptional);
   attrs.str("executable", out.executable, xml::kOptional);
   attrs.num("exported", out.exported);
@@ -106,12 +100,36 @@ Result<SurfaceProfile> surface_from_xml(const xml::Node& root) {
   attrs.num("resident_pages", out.resident_pages);
   attrs.num("total_pages", out.total_pages);
   if (!attrs.ok()) return attrs.error();
-  for (const Status& list : {read_symbol_list(root, "reachable", out.reachable_symbols),
-                             read_symbol_list(root, "touched", out.touched_symbols),
-                             read_symbol_list(root, "trapped", out.trapped_symbols)}) {
-    if (!list.ok()) return list.error();
+  // Sections: the first of each list, in this order; each is required.
+  struct List {
+    std::string_view name;
+    std::vector<std::string>& symbols;
+    bool seen = false;
+  };
+  std::array<List, 3> lists = {{{"reachable", out.reachable_symbols},
+                                {"touched", out.touched_symbols},
+                                {"trapped", out.trapped_symbols}}};
+  xml::FirstError first;
+  in.children([&](std::string_view name) {
+    for (unsigned rank = 0; rank < lists.size(); ++rank) {
+      List& list = lists[rank];
+      if (name != list.name) continue;
+      if (!std::exchange(list.seen, true) && first.wants(rank)) {
+        first.keep(rank, read_symbol_list(in, list.symbols));
+      }
+      return;
+    }
+  });
+  for (unsigned rank = 0; rank < lists.size(); ++rank) {
+    if (lists[rank].seen) continue;
+    lists[rank].symbols.clear();
+    first.keep(rank, Error("surface-profile: missing <" + std::string(lists[rank].name) + ">"));
   }
-  return out;
+  return first.status();
+}
+
+Result<SurfaceProfile> surface_from_xml(std::string_view document) {
+  return xml::decode<SurfaceProfile>(document, surface_from_xml);
 }
 
 SurfaceProfile capture_surface_profile(const linker::Process& proc,

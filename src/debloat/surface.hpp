@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "debloat/reachability.hpp"
@@ -18,7 +19,7 @@
 #include "support/result.hpp"
 
 namespace healers::xml {
-class Node;
+class Reader;
 }
 
 namespace healers::debloat {
@@ -55,11 +56,11 @@ struct SurfaceProfile {
   [[nodiscard]] std::string to_text() const;
 };
 
-// Strict XML decoder for <surface-profile> documents. The Node overload
-// serves callers that already parsed the payload (the fleet collector's
-// sniff-by-root-element dispatch).
+// Strict XML decoder for <surface-profile> documents. The reader overload
+// serves callers that dispatch on the root element (the fleet collector);
+// see profile::from_xml for the two overloads.
+[[nodiscard]] Status surface_from_xml(xml::Reader& in, SurfaceProfile& out);
 [[nodiscard]] Result<SurfaceProfile> surface_from_xml(std::string_view document);
-[[nodiscard]] Result<SurfaceProfile> surface_from_xml(const xml::Node& root);
 
 // Snapshots the live demand-loading state of a process into a profile.
 // `proc` must have demand loading enabled; resident pages are counted over

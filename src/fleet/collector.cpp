@@ -161,18 +161,12 @@ void FleetCollector::flush() {
           reject(decoded.error().message);
         }
       };
-      const auto ingest_parsed = [this, &reject](const auto& parsed) {
-        if (parsed.ok()) {
-          fold(parsed.value());
-        } else {
-          reject(parsed.error().message);
-        }
-      };
-      // One record per binary kind, reused across the batch: decode_into
-      // keeps their strings' and lists' storage.
+      // One record per kind and one XML reader, reused across the batch:
+      // binary and XML decoders both keep their strings' and lists' storage.
       profile::ProfileReport report;
       incident::Dossier dossier;
       debloat::SurfaceProfile surface;
+      xml::Reader in;
       for (std::size_t i = begin; i < end; ++i) {
         const std::string_view payload = claimed[i];
         // Dossiers, surface profiles and profiles share the pipe; binary
@@ -190,15 +184,16 @@ void FleetCollector::flush() {
           default:
             break;
         }
-        auto parsed = xml::parse(payload);
-        if (!parsed.ok()) {
-          reject("xml document: " + parsed.error().message);
-        } else if (parsed.value().name() == "dossier") {
-          ingest_parsed(incident::from_xml(parsed.value()));
-        } else if (parsed.value().name() == "surface-profile") {
-          ingest_parsed(debloat::surface_from_xml(parsed.value()));
+        in.reset(payload);
+        const auto ingest_xml = [&](Status decoded, const auto& document) {
+          ingest(in.finish(std::move(decoded), "xml document: "), document);
+        };
+        if (in.name() == "dossier") {
+          ingest_xml(incident::from_xml(in, dossier), dossier);
+        } else if (in.name() == "surface-profile") {
+          ingest_xml(debloat::surface_from_xml(in, surface), surface);
         } else {
-          ingest_parsed(profile::from_xml(parsed.value()));
+          ingest_xml(profile::from_xml(in, report), report);
         }
       }
     });

@@ -6,14 +6,16 @@
 //                           payload bytes appended to one buffer per shard
 //                 flush():  swap each shard's buffer out, then batched decode
 //                           on support::ThreadPool, each batch into one
-//                           reused record per kind (record::decode_into)
+//                           reused record per kind (record::decode_into,
+//                           or the XML decoders for the same records)
 //                           fold into aggregation shards    (by symbol hash)
 //   snapshot(): merge shards -> totals + quantile sketch -> summary
 //
 // Ingest allocates nothing per document once the buffers have grown: a
 // shard's queue is one byte buffer plus end offsets, flush() hands the decode
 // tasks views into the buffer it swapped out and keeps that buffer as the
-// shard's next spare, and binary documents decode into reused records.
+// shard's next spare, and documents, binary or XML, decode into reused
+// records.
 //
 // Invariants:
 //   * No silent loss. Every submitted payload is exactly one of: aggregated,

@@ -18,9 +18,7 @@ Result<profile::ProfileReport> decode_document(std::string_view payload) {
   if (record::sniff(payload) == record::Kind::kProfile) {
     return record::decode<profile::ProfileReport>(payload);
   }
-  auto parsed = xml::parse(payload);
-  if (!parsed.ok()) return Error("xml document: " + parsed.error().message);
-  return profile::from_xml(parsed.value());
+  return xml::decode<profile::ProfileReport>(payload, profile::from_xml, "xml document: ");
 }
 
 std::string frame_stream(const std::vector<std::string>& documents) {

@@ -85,25 +85,25 @@ xml::Node RepairPolicy::to_xml() const {
   return root;
 }
 
-Result<RepairPolicy> RepairPolicy::from_xml(const xml::Node& node) {
-  if (node.name() != "repair-policy") {
+Status RepairPolicy::from_xml(xml::Reader& in, RepairPolicy& out) {
+  if (in.name() != "repair-policy") {
     return Error("repair-policy: root element is not <repair-policy>");
   }
-  RepairPolicy out;
+  out.library.clear();
   // rules is rule_count(): checked as a number, not kept.
   std::size_t rules = 0;
-  xml::AttrReader attrs(node);
+  xml::AttrReader attrs(in);
   attrs.str("library", out.library, xml::kOptional);
   attrs.num("seed", out.seed);
   attrs.num("rules", rules, xml::kOptional);
   if (!attrs.ok()) return attrs.error();
-  for (const xml::Node* fn_node : node.children_named("function")) {
-    FunctionRepairPolicy& fn = out.functions.emplace_back();
-    xml::AttrReader(*fn_node).str("name", fn.function, xml::kOptional);
-    for (const xml::Node* rule_node : fn_node->children_named("rule")) {
-      RepairRule& rule = fn.rules.emplace_back();
+  return xml::read_rows(in, "function", out.functions, [&in](FunctionRepairPolicy& fn) {
+    fn.function.clear();
+    xml::AttrReader(in).str("name", fn.function, xml::kOptional);
+    return xml::read_rows(in, "rule", fn.rules, [&in](RepairRule& rule) -> Status {
+      rule = RepairRule{};
       std::string size;
-      xml::AttrReader row(*rule_node);
+      xml::AttrReader row(in);
       row.num("arg", rule.arg_index);
       row.word("action", rule.action, simlib::kRepairActionNames);
       row.num("clamp_arg", rule.clamp_arg, xml::kOptional);
@@ -117,9 +117,13 @@ Result<RepairPolicy> RepairPolicy::from_xml(const xml::Node& node) {
         if (!expr.ok()) return Error("repair-policy: bad size '" + size + "'");
         rule.write_size = std::move(expr).take();
       }
-    }
-  }
-  return out;
+      return Status::success();
+    });
+  });
+}
+
+Result<RepairPolicy> RepairPolicy::from_xml(std::string_view document) {
+  return xml::decode<RepairPolicy>(document, from_xml);
 }
 
 Result<RepairPolicy> derive_repair_policy(const injector::CampaignResult& campaign,

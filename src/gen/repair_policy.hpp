@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "injector/robust_spec.hpp"
@@ -75,9 +76,11 @@ struct RepairPolicy {
   [[nodiscard]] std::size_t rule_count() const noexcept;
   [[nodiscard]] bool operator==(const RepairPolicy& other) const;
 
-  // Deterministic <repair-policy> document; round-trips through from_xml.
+  // Deterministic <repair-policy> document; round-trips through from_xml
+  // (see profile::from_xml for the two overloads).
   [[nodiscard]] xml::Node to_xml() const;
-  [[nodiscard]] static Result<RepairPolicy> from_xml(const xml::Node& node);
+  [[nodiscard]] static Status from_xml(xml::Reader& in, RepairPolicy& out);
+  [[nodiscard]] static Result<RepairPolicy> from_xml(std::string_view document);
 };
 
 [[nodiscard]] bool operator==(const RepairRule& a, const RepairRule& b);

@@ -1,5 +1,8 @@
 #include "incident/dossier.hpp"
 
+#include <array>
+#include <utility>
+
 namespace healers::incident {
 
 xml::Node Dossier::to_xml() const {
@@ -70,11 +73,12 @@ xml::Node Dossier::to_xml() const {
   return root;
 }
 
-Result<Dossier> from_xml(const xml::Node& node) {
-  if (node.name() != "dossier") return Error("dossier: root element is not <dossier>");
-  Dossier out;
+Status from_xml(xml::Reader& in, Dossier& out) {
+  if (in.name() != "dossier") return Error("dossier: root element is not <dossier>");
+  out.process.clear();
+  out.symbol.clear();
   // Addresses and digests are written in hex (hex_addr), counters in decimal.
-  xml::AttrReader root(node);
+  xml::AttrReader root(in);
   root.str("process", out.process, xml::kOptional);
   root.word("detector", out.detector, simlib::kDetectionKindNames);
   root.str("symbol", out.symbol, xml::kOptional);
@@ -83,72 +87,89 @@ Result<Dossier> from_xml(const xml::Node& node) {
   root.num("cycles", out.cycles);
   root.hex("fault_addr", out.fault_addr);
   if (!root.ok()) return root.error();
-  if (const xml::Node* detail = node.child("detail")) out.detail = detail->text();
 
-  if (const xml::Node* call = node.child("call")) {
-    for (const xml::Node* arg : call->children_named("arg")) {
-      xml::AttrReader(*arg).str("value", out.args.emplace_back(), xml::kOptional);
+  // Sections: the first child of each kind, in this order.
+  enum Section : unsigned { kDetail, kCall, kTrace, kHeap, kRegions, kRepairs, kSections };
+  std::array<bool, kSections> seen{};
+  xml::FirstError first;
+  const auto section = [&](Section s) { return !std::exchange(seen[s], true) && first.wants(s); };
+  out.detail.clear();
+  out.heap_note.clear();
+  in.children([&](std::string_view name) {
+    if (name == "detail" && section(kDetail)) {
+      in.text(out.detail);
+    } else if (name == "call" && section(kCall)) {
+      (void)xml::read_rows(in, "arg", out.args, [&in](std::string& arg) {
+        arg.clear();
+        xml::AttrReader(in).str("value", arg, xml::kOptional);
+        return Status::success();
+      });
+    } else if (name == "trace" && section(kTrace)) {
+      first.keep(kTrace, xml::read_rows(in, "event", out.trace, [&in](TraceEntry& entry) {
+        entry.symbol.clear();
+        xml::AttrReader row(in);
+        row.num("seq", entry.seq);
+        row.str("symbol", entry.symbol, xml::kOptional);
+        row.num("tick", entry.tick);
+        row.num("cycles", entry.cycles);
+        row.num("argc", entry.argc);
+        row.hex("digest", entry.arg_digest);
+        return row.ok() ? Status::success() : Status(row.error());
+      }));
+    } else if (name == "heap" && section(kHeap)) {
+      xml::AttrReader(in).str("note", out.heap_note, xml::kOptional);
+      first.keep(kHeap, xml::read_rows(in, "chunk", out.heap, [&in](ChunkState& chunk) {
+        chunk.suspect = false;
+        xml::AttrReader row(in);
+        row.hex("header", chunk.header);
+        row.hex("user", chunk.user);
+        row.num("size", chunk.size);
+        row.flag("in_use", chunk.in_use);
+        row.flag("suspect", chunk.suspect, xml::kOptional);
+        return row.ok() ? Status::success() : Status(row.error());
+      }));
+    } else if (name == "regions" && section(kRegions)) {
+      first.keep(kRegions, xml::read_rows(in, "region", out.regions, [&in](RegionState& region) {
+        region.kind.clear();
+        region.label.clear();
+        region.suspect = false;
+        xml::AttrReader row(in);
+        row.hex("base", region.base);
+        row.num("size", region.size);
+        row.num("perm", region.perm);
+        row.str("kind", region.kind, xml::kOptional);
+        row.str("label", region.label, xml::kOptional);
+        row.flag("suspect", region.suspect, xml::kOptional);
+        return row.ok() ? Status::success() : Status(row.error());
+      }));
+    } else if (name == "repairs" && section(kRepairs)) {
+      first.keep(kRepairs, xml::read_rows(in, "repair", out.repairs, [&in](RepairEvent& repair) {
+        repair.symbol.clear();
+        repair.detail.clear();
+        xml::AttrReader row(in);
+        row.num("seq", repair.seq);
+        row.num("tick", repair.tick);
+        row.word("action", repair.action, simlib::kRepairActionNames);
+        row.str("symbol", repair.symbol, xml::kOptional);
+        row.hex("addr", repair.fault_addr);
+        row.num("requested", repair.requested);
+        row.num("granted", repair.granted);
+        row.str("detail", repair.detail, xml::kOptional);
+        return row.ok() ? Status::success() : Status(row.error());
+      }));
     }
-  }
+  });
+  // An absent list is empty.
+  if (!seen[kCall]) out.args.clear();
+  if (!seen[kTrace]) out.trace.clear();
+  if (!seen[kHeap]) out.heap.clear();
+  if (!seen[kRegions]) out.regions.clear();
+  if (!seen[kRepairs]) out.repairs.clear();
+  return first.status();
+}
 
-  if (const xml::Node* trace_node = node.child("trace")) {
-    for (const xml::Node* event : trace_node->children_named("event")) {
-      TraceEntry& entry = out.trace.emplace_back();
-      xml::AttrReader row(*event);
-      row.num("seq", entry.seq);
-      row.str("symbol", entry.symbol, xml::kOptional);
-      row.num("tick", entry.tick);
-      row.num("cycles", entry.cycles);
-      row.num("argc", entry.argc);
-      row.hex("digest", entry.arg_digest);
-      if (!row.ok()) return row.error();
-    }
-  }
-
-  if (const xml::Node* heap_node = node.child("heap")) {
-    xml::AttrReader(*heap_node).str("note", out.heap_note, xml::kOptional);
-    for (const xml::Node* chunk_node : heap_node->children_named("chunk")) {
-      ChunkState& chunk = out.heap.emplace_back();
-      xml::AttrReader row(*chunk_node);
-      row.hex("header", chunk.header);
-      row.hex("user", chunk.user);
-      row.num("size", chunk.size);
-      row.flag("in_use", chunk.in_use);
-      row.flag("suspect", chunk.suspect, xml::kOptional);
-      if (!row.ok()) return row.error();
-    }
-  }
-
-  if (const xml::Node* regions_node = node.child("regions")) {
-    for (const xml::Node* region_node : regions_node->children_named("region")) {
-      RegionState& region = out.regions.emplace_back();
-      xml::AttrReader row(*region_node);
-      row.hex("base", region.base);
-      row.num("size", region.size);
-      row.num("perm", region.perm);
-      row.str("kind", region.kind, xml::kOptional);
-      row.str("label", region.label, xml::kOptional);
-      row.flag("suspect", region.suspect, xml::kOptional);
-      if (!row.ok()) return row.error();
-    }
-  }
-
-  if (const xml::Node* repairs_node = node.child("repairs")) {
-    for (const xml::Node* repair_node : repairs_node->children_named("repair")) {
-      RepairEvent& repair = out.repairs.emplace_back();
-      xml::AttrReader row(*repair_node);
-      row.num("seq", repair.seq);
-      row.num("tick", repair.tick);
-      row.word("action", repair.action, simlib::kRepairActionNames);
-      row.str("symbol", repair.symbol, xml::kOptional);
-      row.hex("addr", repair.fault_addr);
-      row.num("requested", repair.requested);
-      row.num("granted", repair.granted);
-      row.str("detail", repair.detail, xml::kOptional);
-      if (!row.ok()) return row.error();
-    }
-  }
-  return out;
+Result<Dossier> from_xml(std::string_view document) {
+  return xml::decode<Dossier>(document, from_xml);
 }
 
 std::string Dossier::to_text() const {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memmodel/addr_space.hpp"
@@ -108,7 +109,9 @@ struct Dossier {
   [[nodiscard]] std::string to_text() const;
 };
 
-// Strict parser for the <dossier> document (round-trips to_xml()).
-[[nodiscard]] Result<Dossier> from_xml(const xml::Node& node);
+// Strict decoder for the <dossier> document (round-trips to_xml()); see
+// profile::from_xml for the two overloads.
+[[nodiscard]] Status from_xml(xml::Reader& in, Dossier& out);
+[[nodiscard]] Result<Dossier> from_xml(std::string_view document);
 
 }  // namespace healers::incident

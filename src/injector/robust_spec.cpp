@@ -4,6 +4,7 @@
 #include <array>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "typelattice/subsume.hpp"
 
@@ -68,8 +69,8 @@ void checks_to_xml(const DerivedChecks& checks, xml::Node& node) {
   }
 }
 
-Status checks_from_xml(const xml::Node& el, DerivedChecks& checks) {
-  xml::AttrReader attrs(el);
+Status checks_from_xml(xml::Reader& in, DerivedChecks& checks) {
+  xml::AttrReader attrs(in);
   attrs.flag("nonnull", checks.require_nonnull, xml::kOptional);
   attrs.flag("mapped", checks.require_mapped, xml::kOptional);
   attrs.flag("writable", checks.require_writable, xml::kOptional);
@@ -86,6 +87,39 @@ Status checks_from_xml(const xml::Node& el, DerivedChecks& checks) {
   }
   if (!attrs.ok()) return attrs.error();
   return Status::success();
+}
+
+// Reads the <arg> element `in` stands at into `arg`: its attributes, then
+// every <verdict>, then the first <checks>. safe-type is safe_type_name() of
+// the checks, so it is not read.
+Status arg_from_xml(xml::Reader& in, ArgSpec& arg) {
+  arg = ArgSpec{};
+  xml::AttrReader attrs(in);
+  attrs.num("index", arg.index);
+  attrs.str("ctype", arg.ctype, xml::kOptional);
+  attrs.word("class", arg.cls, parser::kTypeClassNames, xml::kOptional);
+  if (!attrs.ok()) return attrs.error();
+  if (arg.index < 1) return Error("<arg> with bad index");
+  enum : unsigned { kVerdicts, kChecks };
+  xml::FirstError first;
+  bool checks = false;
+  in.children([&](std::string_view name) {
+    if (name == "verdict" && first.wants(kVerdicts)) {
+      TypeVerdict& v = arg.verdicts.emplace_back();
+      xml::AttrReader row(in);
+      row.word("type", v.id, lattice::kTestTypeNames);
+      row.num("probes", v.probes);
+      row.num("failures", v.failures);
+      row.num("crashes", v.crashes);
+      row.num("hangs", v.hangs);
+      row.num("aborts", v.aborts);
+      row.str("first", v.first_failure, xml::kOptional);
+      if (!row.ok()) first.keep(kVerdicts, row.error());
+    } else if (name == "checks" && !std::exchange(checks, true) && first.wants(kChecks)) {
+      first.keep(kChecks, checks_from_xml(in, arg.checks));
+    }
+  });
+  return first.status();
 }
 
 // skipped="noreturn" is the one word; a probed function has no attribute.
@@ -125,10 +159,11 @@ xml::Node RobustSpec::to_xml() const {
   return node;
 }
 
-Result<RobustSpec> RobustSpec::from_xml(const xml::Node& node) {
-  if (node.name() != "robust-spec") return Error("expected <robust-spec>");
-  RobustSpec spec;
-  xml::AttrReader attrs(node);
+Status RobustSpec::from_xml(xml::Reader& in, RobustSpec& spec) {
+  if (in.name() != "robust-spec") return Error("expected <robust-spec>");
+  spec.library.clear();
+  spec.skipped_noreturn = false;
+  xml::AttrReader attrs(in);
   attrs.str("function", spec.function);
   attrs.str("library", spec.library, xml::kOptional);
   attrs.num("probes", spec.total_probes);
@@ -138,33 +173,24 @@ Result<RobustSpec> RobustSpec::from_xml(const xml::Node& node) {
   attrs.num("aborts", spec.aborts);
   attrs.word("skipped", spec.skipped_noreturn, kSkippedNames, xml::kOptional);
   if (!attrs.ok()) return attrs.error();
-  if (const xml::Node* proto = node.child("prototype")) spec.declaration = proto->text();
-  for (const xml::Node* arg_el : node.children_named("arg")) {
-    ArgSpec& arg = spec.args.emplace_back();
-    // safe-type is safe_type_name() of the checks, so it is not read.
-    xml::AttrReader arg_attrs(*arg_el);
-    arg_attrs.num("index", arg.index);
-    arg_attrs.str("ctype", arg.ctype, xml::kOptional);
-    arg_attrs.word("class", arg.cls, parser::kTypeClassNames, xml::kOptional);
-    if (!arg_attrs.ok()) return arg_attrs.error();
-    if (arg.index < 1) return Error("<arg> with bad index");
-    for (const xml::Node* v_el : arg_el->children_named("verdict")) {
-      TypeVerdict& v = arg.verdicts.emplace_back();
-      xml::AttrReader row(*v_el);
-      row.word("type", v.id, lattice::kTestTypeNames);
-      row.num("probes", v.probes);
-      row.num("failures", v.failures);
-      row.num("crashes", v.crashes);
-      row.num("hangs", v.hangs);
-      row.num("aborts", v.aborts);
-      row.str("first", v.first_failure, xml::kOptional);
-      if (!row.ok()) return row.error();
+  // The first <prototype>, and every <arg>.
+  spec.declaration.clear();
+  bool prototype = false;
+  std::size_t args = 0;
+  Status status;
+  in.children([&](std::string_view name) {
+    if (name == "prototype" && !std::exchange(prototype, true)) {
+      in.text(spec.declaration);
+    } else if (name == "arg" && status.ok()) {
+      status = arg_from_xml(in, xml::next_slot(spec.args, args));
     }
-    if (const xml::Node* checks = arg_el->child("checks")) {
-      if (Status read = checks_from_xml(*checks, arg.checks); !read.ok()) return read.error();
-    }
-  }
-  return spec;
+  });
+  spec.args.resize(args);
+  return status;
+}
+
+Result<RobustSpec> RobustSpec::from_xml(std::string_view document) {
+  return xml::decode<RobustSpec>(document, from_xml);
 }
 
 std::uint64_t CampaignResult::total_probes() const noexcept {
@@ -276,19 +302,19 @@ xml::Node CampaignResult::to_xml() const {
   return node;
 }
 
-Result<CampaignResult> CampaignResult::from_xml(const xml::Node& node) {
-  if (node.name() != "campaign") return Error("expected <campaign>");
-  CampaignResult out;
-  xml::AttrReader attrs(node);
+Status CampaignResult::from_xml(xml::Reader& in, CampaignResult& out) {
+  if (in.name() != "campaign") return Error("expected <campaign>");
+  out.library.clear();
+  xml::AttrReader attrs(in);
   attrs.str("library", out.library, xml::kOptional);
   attrs.num("seed", out.seed);
   if (!attrs.ok()) return attrs.error();
-  for (const xml::Node* spec_el : node.children_named("robust-spec")) {
-    auto spec = RobustSpec::from_xml(*spec_el);
-    if (!spec.ok()) return spec.error();
-    out.specs.push_back(std::move(spec).take());
-  }
-  return out;
+  return xml::read_rows(in, "robust-spec", out.specs,
+                        [&in](RobustSpec& spec) { return RobustSpec::from_xml(in, spec); });
+}
+
+Result<CampaignResult> CampaignResult::from_xml(std::string_view document) {
+  return xml::decode<CampaignResult>(document, from_xml);
 }
 
 }  // namespace healers::injector

@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "linker/process.hpp"
@@ -93,7 +94,10 @@ struct RobustSpec {
   bool skipped_noreturn = false;  // exit/abort are not probed
 
   [[nodiscard]] xml::Node to_xml() const;
-  [[nodiscard]] static Result<RobustSpec> from_xml(const xml::Node& node);
+  // Decodes the <robust-spec> element `in` stands at into `spec` (see
+  // profile::from_xml for the two overloads).
+  [[nodiscard]] static Status from_xml(xml::Reader& in, RobustSpec& spec);
+  [[nodiscard]] static Result<RobustSpec> from_xml(std::string_view document);
 };
 
 // Operational counters from the campaign engine's COW state machinery: how
@@ -156,7 +160,9 @@ struct CampaignResult {
   // the derived safe types.
   [[nodiscard]] std::string to_table() const;
   [[nodiscard]] xml::Node to_xml() const;
-  [[nodiscard]] static Result<CampaignResult> from_xml(const xml::Node& node);
+  // Decodes a <campaign> into `out`; engine is left as it is.
+  [[nodiscard]] static Status from_xml(xml::Reader& in, CampaignResult& out);
+  [[nodiscard]] static Result<CampaignResult> from_xml(std::string_view document);
 };
 
 }  // namespace healers::injector

@@ -4,7 +4,7 @@
 // send the gathered information to a central server ... in form of a
 // self-describing XML document."
 //
-// This module turns a wrapper's WrapperStats into that XML document, parses
+// This module turns a wrapper's WrapperStats into that XML document, decodes
 // such documents back into ProfileReports, and renders the Fig 5 view:
 // frequency of function calls, percentage of execution time per function,
 // distribution of function errors and their causes (classified by errno).
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/stats.hpp"
@@ -47,9 +48,13 @@ struct ProfileReport {
 [[nodiscard]] ProfileReport build_report(const std::string& process, const std::string& wrapper,
                                          const gen::WrapperStats& stats);
 
-// Report <-> self-describing XML document.
+// Report <-> self-describing XML document. The reader overload decodes the
+// <profile> element `in` stands at into `report`, reusing its storage, and
+// returns the first error that is not a syntax error (in.finish() gives the
+// document's verdict); the other decodes a whole document.
 [[nodiscard]] xml::Node to_xml(const ProfileReport& report);
-[[nodiscard]] Result<ProfileReport> from_xml(const xml::Node& node);
+[[nodiscard]] Status from_xml(xml::Reader& in, ProfileReport& report);
+[[nodiscard]] Result<ProfileReport> from_xml(std::string_view document);
 
 // The Fig 5 rendering: call frequencies, execution-time percentages, error
 // distributions and errno classification, as an ASCII table.

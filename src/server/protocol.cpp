@@ -1,5 +1,7 @@
 #include "server/protocol.hpp"
 
+#include <utility>
+
 namespace healers::server {
 
 injector::InjectorConfig DeriveRequest::injector_config() const {
@@ -28,12 +30,12 @@ xml::Node DeriveRequest::to_xml() const {
   return node;
 }
 
-Result<DeriveRequest> DeriveRequest::from_xml(const xml::Node& node) {
-  if (node.name() != "derive-request") return Error("expected <derive-request>");
-  DeriveRequest request;
+Status DeriveRequest::from_xml(xml::Reader& in, DeriveRequest& request) {
+  if (in.name() != "derive-request") return Error("expected <derive-request>");
   // Everything but the soname may be absent and keeps its default. variants,
   // an int, is bounded by INT_MAX, so it also fits its HRQ1 field, a u32.
-  xml::AttrReader attrs(node);
+  request = DeriveRequest{};
+  xml::AttrReader attrs(in);
   attrs.word("endpoint", request.endpoint, kEndpointNames, xml::kOptional);
   attrs.str("soname", request.soname);
   attrs.num("seed", request.seed, xml::kOptional);
@@ -45,7 +47,11 @@ Result<DeriveRequest> DeriveRequest::from_xml(const xml::Node& node) {
   attrs.word("format", request.format, kFormatNames, xml::kOptional);
   if (!attrs.ok()) return attrs.error();
   if (request.soname.empty()) return Error("<derive-request> missing soname");
-  return request;
+  return Status::success();
+}
+
+Result<DeriveRequest> DeriveRequest::from_xml(std::string_view document) {
+  return xml::decode<DeriveRequest>(document, from_xml);
 }
 
 std::string DeriveRequest::encode() const {
@@ -55,9 +61,7 @@ std::string DeriveRequest::encode() const {
 
 Result<DeriveRequest> DeriveRequest::decode(std::string_view payload) {
   if (fleet::record::sniff(payload) != fleet::record::Kind::kRequest) {
-    auto parsed = xml::parse(payload);
-    if (!parsed.ok()) return Error("xml request: " + parsed.error().message);
-    return from_xml(parsed.value());
+    return xml::decode<DeriveRequest>(payload, from_xml, "xml request: ");
   }
   auto request = fleet::record::decode<DeriveRequest>(payload);
   if (request.ok() && request.value().soname.empty()) {
@@ -71,23 +75,35 @@ xml::Node DeriveResponse::to_xml() const {
   node.set_attr("status", xml::name_of(kStatusNames, status));
   node.set_attr("probes", std::to_string(probes));
   if (!error.empty()) node.add_text_child("error", error);
-  // NOTE: the XML parser trims character data, so an XML envelope normalizes
+  // NOTE: the XML reader trims character data, so an XML envelope normalizes
   // leading/trailing payload whitespace on decode. The binary envelope is
   // byte-exact; binary campaign payloads always travel in binary envelopes.
   if (!payload.empty()) node.add_text_child("payload", payload);
   return node;
 }
 
-Result<DeriveResponse> DeriveResponse::from_xml(const xml::Node& node) {
-  if (node.name() != "derive-response") return Error("expected <derive-response>");
-  DeriveResponse response;
-  xml::AttrReader attrs(node);
+Status DeriveResponse::from_xml(xml::Reader& in, DeriveResponse& response) {
+  if (in.name() != "derive-response") return Error("expected <derive-response>");
+  response = DeriveResponse{};
+  xml::AttrReader attrs(in);
   attrs.word("status", response.status, kStatusNames, xml::kOptional);
   attrs.num("probes", response.probes, xml::kOptional);
   if (!attrs.ok()) return attrs.error();
-  if (const xml::Node* error = node.child("error")) response.error = error->text();
-  if (const xml::Node* payload = node.child("payload")) response.payload = payload->text();
-  return response;
+  // The first <error> and the first <payload>.
+  bool error = false;
+  bool payload = false;
+  in.children([&](std::string_view name) {
+    if (name == "error" && !std::exchange(error, true)) {
+      in.text(response.error);
+    } else if (name == "payload" && !std::exchange(payload, true)) {
+      in.text(response.payload);
+    }
+  });
+  return Status::success();
+}
+
+Result<DeriveResponse> DeriveResponse::from_xml(std::string_view document) {
+  return xml::decode<DeriveResponse>(document, from_xml);
 }
 
 std::string DeriveResponse::encode(WireFormat format) const {
@@ -97,9 +113,7 @@ std::string DeriveResponse::encode(WireFormat format) const {
 
 Result<DeriveResponse> DeriveResponse::decode(std::string_view payload) {
   if (fleet::record::sniff(payload) != fleet::record::Kind::kResponse) {
-    auto parsed = xml::parse(payload);
-    if (!parsed.ok()) return Error("xml response: " + parsed.error().message);
-    return from_xml(parsed.value());
+    return xml::decode<DeriveResponse>(payload, from_xml, "xml response: ");
   }
   return fleet::record::decode<DeriveResponse>(payload);
 }

@@ -92,7 +92,10 @@ struct DeriveRequest : injector::CampaignParams {
   [[nodiscard]] std::string canonical_key() const;
 
   [[nodiscard]] xml::Node to_xml() const;
-  [[nodiscard]] static Result<DeriveRequest> from_xml(const xml::Node& node);
+  // Decodes a <derive-request> into `request` (see profile::from_xml for the
+  // two overloads).
+  [[nodiscard]] static Status from_xml(xml::Reader& in, DeriveRequest& request);
+  [[nodiscard]] static Result<DeriveRequest> from_xml(std::string_view document);
   [[nodiscard]] std::string encode() const;  // in this->format
   // Format-sniffing decoder: binary by magic, otherwise XML.
   [[nodiscard]] static Result<DeriveRequest> decode(std::string_view payload);
@@ -105,7 +108,8 @@ struct DeriveResponse {
   std::string payload;        // campaign document or bundle C source
 
   [[nodiscard]] xml::Node to_xml() const;
-  [[nodiscard]] static Result<DeriveResponse> from_xml(const xml::Node& node);
+  [[nodiscard]] static Status from_xml(xml::Reader& in, DeriveResponse& response);
+  [[nodiscard]] static Result<DeriveResponse> from_xml(std::string_view document);
   [[nodiscard]] std::string encode(WireFormat format) const;
   [[nodiscard]] static Result<DeriveResponse> decode(std::string_view payload);
 };

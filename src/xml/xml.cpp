@@ -22,34 +22,12 @@ Node& Node::set_attr(std::string key, std::string value) {
   return *this;
 }
 
-const std::string* Node::attr(std::string_view key) const noexcept {
-  for (const auto& [k, v] : attrs_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 Node& Node::add_child(std::string name) { return add_child(Node(std::move(name))); }
 
 Node& Node::add_child(Node node) {
   if (children_.empty()) children_.reserve(kFirstSlots);
   children_.push_back(std::make_unique<Node>(std::move(node)));
   return *children_.back();
-}
-
-const Node* Node::child(std::string_view name) const noexcept {
-  for (const auto& c : children_) {
-    if (c->name() == name) return c.get();
-  }
-  return nullptr;
-}
-
-std::vector<const Node*> Node::children_named(std::string_view name) const {
-  std::vector<const Node*> out;
-  for (const auto& c : children_) {
-    if (c->name() == name) out.push_back(c.get());
-  }
-  return out;
 }
 
 Node& Node::set_text(std::string text) {
@@ -63,29 +41,33 @@ Node& Node::add_text_child(std::string name, std::string text) {
   return c;
 }
 
-const std::string* AttrReader::find(std::string_view key, Need need) {
+const std::string_view* AttrReader::find(std::string_view key, Need need) {
   if (error_) return nullptr;
-  const std::string* raw = node_.attr(key);
+  const std::string_view* raw = in_.attr(key);
   if (raw == nullptr && need == Need::kRequired) {
-    error_.emplace("<" + node_.name() + "> missing attribute " + std::string(key));
+    std::string message = "<";
+    message.append(in_.name()).append("> missing attribute ").append(key);
+    error_.emplace(std::move(message));
   }
   return raw;
 }
 
-void AttrReader::malformed(std::string_view key, const std::string& raw) {
-  error_.emplace("<" + node_.name() + "> malformed attribute " + std::string(key) + "=\"" + raw +
-                 "\"");
+void AttrReader::malformed(std::string_view key, std::string_view raw) {
+  std::string message = "<";
+  message.append(in_.name()).append("> malformed attribute ").append(key);
+  message.append("=\"").append(raw).append("\"");
+  error_.emplace(std::move(message));
 }
 
 void AttrReader::str(std::string_view key, std::string& field, Need need) {
-  if (const std::string* raw = find(key, need)) field = *raw;
+  if (const std::string_view* raw = find(key, need)) field.assign(*raw);
 }
 
 // from_chars takes a sign only into a signed value, so this parse refuses
 // one; it refuses empty text and overflow too. Hex is written "0x" first.
 bool AttrReader::digits(std::string_view key, Need need, int base, std::uint64_t max,
                         std::uint64_t& value) {
-  const std::string* raw = find(key, need);
+  const std::string_view* raw = find(key, need);
   if (raw == nullptr) return false;
   std::string_view text = *raw;
   const bool prefixed = base != 16 || text.starts_with("0x");
@@ -99,7 +81,7 @@ bool AttrReader::digits(std::string_view key, Need need, int base, std::uint64_t
 
 bool AttrReader::signed_digits(std::string_view key, Need need, std::int64_t min,
                                std::int64_t max, std::int64_t& value) {
-  const std::string* raw = find(key, need);
+  const std::string_view* raw = find(key, need);
   if (raw == nullptr) return false;
   const char* const end = raw->data() + raw->size();
   const auto [stop, error] = std::from_chars(raw->data(), end, value);
@@ -115,7 +97,7 @@ void AttrReader::hex(std::string_view key, std::uint64_t& field, Need need) {
 
 bool AttrReader::word_index(std::string_view key, Need need,
                             std::span<const std::string_view> names, std::size_t& index) {
-  const std::string* raw = find(key, need);
+  const std::string_view* raw = find(key, need);
   if (raw == nullptr) return false;
   for (index = 0; index < names.size(); ++index) {
     if (!names[index].empty() && names[index] == *raw) return true;
@@ -225,194 +207,251 @@ constexpr ByteClasses kBytes;
 bool is_space(char ch) noexcept { return kBytes.space[static_cast<unsigned char>(ch)]; }
 bool is_name_char(char ch) noexcept { return kBytes.name[static_cast<unsigned char>(ch)]; }
 
-// Scans names, attribute values and character data in runs: a value or text
-// grows by one append per run between entities, tags and quotes.
-class Parser {
- public:
-  explicit Parser(std::string_view doc) : doc_(doc) {}
+}  // namespace
 
-  Result<Node> run() {
-    skip_prolog();
-    auto root = parse_element();
-    if (!root.ok()) return root;
+void Reader::reset(std::string_view document) {
+  doc_ = document;
+  pos_ = 0;
+  error_.reset();
+  name_ = {};
+  attrs_.clear();
+  attrs_.reserve(kTagAttrs);
+  level_ = 0;
+  depth_ = 0;
+  skip_ws();
+  if (doc_.compare(pos_, 5, "<?xml") == 0) {
+    const std::size_t end = doc_.find("?>", pos_);
+    pos_ = (end == std::string_view::npos) ? doc_.size() : end + 2;
+  }
+  skip_ws_and_comments();
+  if (peek() != '<') {
+    fail("expected '<'");
+    return;
+  }
+  start_tag();
+}
+
+// Reads until the next child start tag at `level` + 1 (true), or past the
+// end tag of the element at `level` (false). Deeper elements on the way are
+// read and checked, and left unvisited.
+bool Reader::next_child(std::size_t level) {
+  while (ok() && depth_ >= level) {
+    if (!content(nullptr) || end_tag()) continue;
+    const std::size_t child = depth_ + 1;
+    if (start_tag() && child == level + 1) return true;
+  }
+  return false;
+}
+
+void Reader::text(std::string& out) {
+  out.clear();
+  const std::size_t level = level_;
+  while (ok() && depth_ >= level) {
+    if (!content(depth_ == level ? &out : nullptr) || end_tag()) continue;
+    start_tag();
+  }
+  while (!out.empty() && is_space(out.back())) out.pop_back();
+}
+
+Status Reader::finish(Status decoded, std::string_view prefix) {
+  while (next_child(1)) {
+    // The root's unread children are read and checked, nothing more.
+  }
+  if (ok()) {
     skip_ws_and_comments();
-    if (pos_ != doc_.size()) {
-      return Error(where() + ": trailing content after document element");
+    if (pos_ != doc_.size()) fail("trailing content after document element");
+  }
+  if (error_) return Error(std::string(prefix) + error_->message);
+  return decoded;
+}
+
+// Reads the open element's character data, entities and comments up to its
+// next tag, appending the data to *text when text is set. Whitespace before
+// the data's first other byte is never kept.
+bool Reader::content(std::string* text) {
+  for (;;) {
+    if (text == nullptr) {
+      pos_ = find_either('<', '&');
+    } else {
+      if (text->empty()) skip_ws();
+      append_run('<', '&', *text);
     }
-    return root;
-  }
-
- private:
-  [[nodiscard]] bool eof() const noexcept { return pos_ >= doc_.size(); }
-  [[nodiscard]] char peek() const noexcept { return eof() ? '\0' : doc_[pos_]; }
-  char take() noexcept { return eof() ? '\0' : doc_[pos_++]; }
-
-  [[nodiscard]] std::string where() const {
-    std::size_t line = 1;
-    std::size_t col = 1;
-    for (std::size_t i = 0; i < pos_ && i < doc_.size(); ++i) {
-      if (doc_[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
+    if (eof()) return fail("unterminated element <" + std::string(open_[depth_ - 1]) + ">");
+    if (doc_[pos_] == '&') {
+      if (!entity(text)) return false;
+      continue;
     }
-    return "line " + std::to_string(line) + ":" + std::to_string(col);
+    if (!skip_comment()) return true;
   }
+}
 
-  void skip_ws() {
-    while (!eof() && is_space(doc_[pos_])) ++pos_;
+// At "</": reads the end tag of the innermost open element. False when the
+// tag at pos_ is a start tag.
+bool Reader::end_tag() {
+  if (doc_.compare(pos_, 2, "</") != 0) return false;
+  pos_ += 2;
+  const std::string_view close = scan_name();
+  const std::string_view open = open_[depth_ - 1];
+  if (close != open) {
+    fail("mismatched close tag </" + std::string(close) + "> for <" + std::string(open) + ">");
+  } else {
+    skip_ws();
+    if (take() != '>') fail("expected '>' in close tag");
   }
+  --depth_;
+  return true;
+}
 
-  bool skip_comment() {
-    if (doc_.compare(pos_, 4, "<!--") != 0) return false;
-    const std::size_t end = doc_.find("-->", pos_ + 4);
-    pos_ = (end == std::string_view::npos) ? doc_.size() : end + 3;
+// At '<': reads a start tag, which becomes the current one.
+bool Reader::start_tag() {
+  if (depth_ == kMaxDepth) {
+    return fail("elements nested deeper than " + std::to_string(kMaxDepth));
+  }
+  ++pos_;
+  name_ = scan_name();
+  if (name_.empty()) return fail("expected element name");
+  attrs_.clear();
+  scratch_.clear();
+  level_ = depth_ + 1;
+  for (;;) {
+    skip_ws();
+    if (peek() == '/') {
+      take();
+      if (take() != '>') return fail("expected '>' after '/'");
+      return true;  // self-closing: nothing to open
+    }
+    if (peek() == '>') {
+      take();
+      open_[depth_++] = name_;
+      return true;
+    }
+    const std::size_t at = pos_;
+    const std::string_view key = scan_name();
+    if (key.empty()) return fail("expected attribute name");
+    if (attr(key) != nullptr) {
+      pos_ = at;
+      return fail("duplicate attribute name");
+    }
+    skip_ws();
+    if (take() != '=') return fail("expected '=' after attribute name");
+    skip_ws();
+    std::string_view value;
+    if (!attr_value(value)) return false;
+    attrs_.emplace_back(key, value);
+  }
+}
+
+// A value without entities is a view of the document; one with entities is
+// decoded into scratch_.
+bool Reader::attr_value(std::string_view& value) {
+  const char quote = take();
+  if (quote != '"' && quote != '\'') return fail("expected quoted attribute value");
+  const std::size_t stop = find_either(quote, '&');
+  if (stop < doc_.size() && doc_[stop] == quote) {
+    value = doc_.substr(pos_, stop - pos_);
+    pos_ = stop + 1;
     return true;
   }
-
-  void skip_ws_and_comments() {
-    for (;;) {
-      skip_ws();
-      if (!skip_comment()) return;
-    }
+  if (scratch_.capacity() < doc_.size()) scratch_.reserve(doc_.size());
+  const std::size_t begin = scratch_.size();
+  for (;;) {
+    append_run(quote, '&', scratch_);
+    if (eof()) return fail("unterminated attribute value");
+    if (doc_[pos_] == quote) break;
+    if (!entity(&scratch_)) return false;
   }
+  ++pos_;  // closing quote
+  value = std::string_view(scratch_).substr(begin);
+  return true;
+}
 
-  void skip_prolog() {
-    skip_ws();
-    if (doc_.compare(pos_, 5, "<?xml") == 0) {
-      const std::size_t end = doc_.find("?>", pos_);
-      pos_ = (end == std::string_view::npos) ? doc_.size() : end + 2;
-    }
-    skip_ws_and_comments();
+// At '&': reads one entity, appending its character to *out when out is set.
+bool Reader::entity(std::string* out) {
+  // An entity's ';' is at most six bytes past its '&'.
+  const std::size_t semi = doc_.substr(pos_, 7).find(';');
+  if (semi == std::string_view::npos) return fail("unterminated entity");
+  const std::string_view name = doc_.substr(pos_ + 1, semi - 1);
+  pos_ += semi + 1;
+  char decoded = '\0';
+  if (name == "amp") {
+    decoded = '&';
+  } else if (name == "lt") {
+    decoded = '<';
+  } else if (name == "gt") {
+    decoded = '>';
+  } else if (name == "quot") {
+    decoded = '"';
+  } else if (name == "apos") {
+    decoded = '\'';
+  } else {
+    return fail("unknown entity &" + std::string(name) + ";");
   }
+  if (out != nullptr) *out += decoded;
+  return true;
+}
 
-  // The run of name characters at pos_ (empty when there is none).
-  std::string_view scan_name() {
-    const std::size_t start = pos_;
-    while (!eof() && is_name_char(doc_[pos_])) ++pos_;
-    return doc_.substr(start, pos_ - start);
-  }
-
-  // Appends the bytes before the next of `stops` (or the end) to out, and
-  // moves past them.
-  void append_run(std::string_view stops, std::string& out) {
-    const std::size_t stop = std::min(doc_.find_first_of(stops, pos_), doc_.size());
-    out.append(doc_.substr(pos_, stop - pos_));
-    pos_ = stop;
-  }
-
-  // Appends the character of the entity at pos_ ('&') to out.
-  Status append_entity(std::string& out) {
-    // An entity's ';' is at most six bytes past its '&'.
-    const std::size_t semi = doc_.substr(pos_, 7).find(';');
-    if (semi == std::string_view::npos) return Error(where() + ": unterminated entity");
-    const std::string_view entity = doc_.substr(pos_ + 1, semi - 1);
-    pos_ += semi + 1;
-    if (entity == "amp") {
-      out += '&';
-    } else if (entity == "lt") {
-      out += '<';
-    } else if (entity == "gt") {
-      out += '>';
-    } else if (entity == "quot") {
-      out += '"';
-    } else if (entity == "apos") {
-      out += '\'';
+// Records the first syntax error, at pos_.
+bool Reader::fail(std::string_view what) {
+  if (error_) return false;
+  std::size_t line = 1;
+  std::size_t col = 1;
+  for (std::size_t i = 0; i < pos_ && i < doc_.size(); ++i) {
+    if (doc_[i] == '\n') {
+      ++line;
+      col = 1;
     } else {
-      return Error(where() + ": unknown entity &" + std::string(entity) + ";");
-    }
-    return {};
-  }
-
-  Result<std::string> parse_attr_value() {
-    const char quote = take();
-    if (quote != '"' && quote != '\'') {
-      return Error(where() + ": expected quoted attribute value");
-    }
-    const char stops[] = {quote, '&'};
-    std::string value;
-    for (;;) {
-      append_run(std::string_view(stops, 2), value);
-      if (eof()) return Error(where() + ": unterminated attribute value");
-      if (doc_[pos_] == quote) break;
-      if (Status entity = append_entity(value); !entity.ok()) return entity.error();
-    }
-    ++pos_;  // closing quote
-    return value;
-  }
-
-  Result<Node> parse_element() {
-    skip_ws_and_comments();
-    if (peek() != '<') return Error(where() + ": expected '<'");
-    take();
-    const std::string_view name = scan_name();
-    if (name.empty()) return Error(where() + ": expected element name");
-    Node node{std::string(name)};
-
-    for (;;) {
-      skip_ws();
-      if (peek() == '/') {
-        take();
-        if (take() != '>') return Error(where() + ": expected '>' after '/'");
-        return node;  // self-closing
-      }
-      if (peek() == '>') {
-        take();
-        break;
-      }
-      const std::string_view key = scan_name();
-      if (key.empty()) return Error(where() + ": expected attribute name");
-      skip_ws();
-      if (take() != '=') return Error(where() + ": expected '=' after attribute name");
-      skip_ws();
-      auto value = parse_attr_value();
-      if (!value.ok()) return value.error();
-      node.set_attr(std::string(key), std::move(value).take());
-    }
-
-    // Content: interleaved text and child elements until the close tag. The
-    // text is trimmed, so no whitespace is kept before its first other byte
-    // (whitespace-only content never allocates) and trailing whitespace is
-    // dropped at the close tag.
-    std::string text;
-    for (;;) {
-      if (text.empty()) skip_ws();
-      append_run("<&", text);
-      if (eof()) return Error(where() + ": unterminated element <" + std::string(name) + ">");
-      if (doc_[pos_] == '&') {
-        if (Status entity = append_entity(text); !entity.ok()) return entity.error();
-        continue;
-      }
-      if (doc_.compare(pos_, 4, "<!--") == 0) {
-        skip_comment();
-        continue;
-      }
-      if (doc_.compare(pos_, 2, "</") == 0) {
-        pos_ += 2;
-        const std::string_view close = scan_name();
-        if (close != name) {
-          return Error(where() + ": mismatched close tag </" + std::string(close) + "> for <" +
-                       std::string(name) + ">");
-        }
-        skip_ws();
-        if (take() != '>') return Error(where() + ": expected '>' in close tag");
-        while (!text.empty() && is_space(text.back())) text.pop_back();
-        node.set_text(std::move(text));
-        return node;
-      }
-      auto child = parse_element();
-      if (!child.ok()) return child;
-      node.add_child(std::move(child).take());
+      ++col;
     }
   }
+  error_.emplace("line " + std::to_string(line) + ":" + std::to_string(col) + ": " +
+                 std::string(what));
+  return false;
+}
 
-  std::string_view doc_;
-  std::size_t pos_ = 0;
-};
+void Reader::skip_ws() noexcept {
+  std::size_t at = pos_;
+  while (at < doc_.size() && is_space(doc_[at])) ++at;
+  pos_ = at;
+}
 
-}  // namespace
+bool Reader::skip_comment() noexcept {
+  if (doc_.compare(pos_, 4, "<!--") != 0) return false;
+  const std::size_t end = doc_.find("-->", pos_ + 4);
+  pos_ = (end == std::string_view::npos) ? doc_.size() : end + 3;
+  return true;
+}
+
+void Reader::skip_ws_and_comments() noexcept {
+  for (;;) {
+    skip_ws();
+    if (!skip_comment()) return;
+  }
+}
+
+// The run of name characters at pos_ (empty when there is none).
+std::string_view Reader::scan_name() noexcept {
+  const std::size_t start = pos_;
+  std::size_t at = start;
+  while (at < doc_.size() && is_name_char(doc_[at])) ++at;
+  pos_ = at;
+  return doc_.substr(start, at - start);
+}
+
+// The offset of the first `a` or `b` at or after pos_, or the document's
+// size.
+std::size_t Reader::find_either(char a, char b) const noexcept {
+  std::size_t at = pos_;
+  while (at < doc_.size() && doc_[at] != a && doc_[at] != b) ++at;
+  return at;
+}
+
+// Appends the bytes before the next `a` or `b` (or the end) to out, and
+// moves past them.
+void Reader::append_run(char a, char b, std::string& out) {
+  const std::size_t stop = find_either(a, b);
+  out.append(doc_.substr(pos_, stop - pos_));
+  pos_ = stop;
+}
 
 std::string serialize(const Node& root) {
   std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
@@ -425,7 +464,5 @@ std::string serialize_fragment(const Node& root, int indent) {
   serialize_into(root, indent, out);
   return out;
 }
-
-Result<Node> parse(std::string_view document) { return Parser(document).run(); }
 
 }  // namespace healers::xml

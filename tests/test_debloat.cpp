@@ -131,9 +131,7 @@ TEST(DemandLoading, SurfaceViolationDossierRoundTripsXmlAndBinary) {
   const incident::Dossier& dossier = recorder.dossiers().front();
 
   const std::string xml_doc = xml::serialize(dossier.to_xml());
-  const auto parsed = xml::parse(xml_doc);
-  ASSERT_TRUE(parsed.ok());
-  const auto decoded = incident::from_xml(parsed.value());
+  const auto decoded = incident::from_xml(xml_doc);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(xml::serialize(decoded.value().to_xml()), xml_doc);
 
@@ -180,10 +178,11 @@ TEST(SurfaceProfile, XmlRoundTripIsExactAndDeterministic) {
 // exported="-1" as 2^64-1.
 TEST(SurfaceProfile, XmlCountsAreStrictDecimals) {
   const std::string doc = captured_profile().to_xml();
+  const std::size_t begin = doc.find(" exported=\"") + 11;
+  const std::size_t end = doc.find('"', begin);
   for (const char* bad : {"-1", "+1", " 1", "0x10", "18446744073709551616", ""}) {
-    xml::Node root = std::move(xml::parse(doc)).take();
-    root.set_attr("exported", bad);
-    EXPECT_FALSE(surface_from_xml(root).ok()) << "exported=\"" << bad << "\"";
+    const std::string garbled = doc.substr(0, begin) + bad + doc.substr(end);
+    EXPECT_FALSE(surface_from_xml(garbled).ok()) << "exported=\"" << bad << "\"";
   }
 }
 

@@ -294,6 +294,25 @@ TEST(FleetCollectorTest, MalformedDocumentsAreCountedNotAggregated) {
   EXPECT_EQ(snap.submitted, snap.aggregated + snap.malformed + snap.dropped + snap.pending);
 }
 
+// A megabyte of nested elements is a positional error, not a stack
+// overflow: the document is counted malformed and the accounting holds.
+TEST(FleetCollectorTest, DeeplyNestedXmlIsCountedMalformed) {
+  std::string deep = "<profile>";
+  while (deep.size() < (1u << 20)) deep += "<a>";
+  FleetCollector collector({.shards = 1, .workers = 1});
+  collector.submit(deep);
+  collector.submit(encode_binary(sample_report()));
+  collector.flush();
+  EXPECT_EQ(collector.malformed(), 1u);
+  EXPECT_EQ(collector.aggregated(), 1u);
+  // "<profile>" is columns 1-9; each <a> below it takes three.
+  const std::size_t column = 10 + 3 * (xml::kMaxDepth - 1);
+  EXPECT_EQ(collector.first_error(), "xml document: line 1:" + std::to_string(column) +
+                                         ": elements nested deeper than 64");
+  const FleetSnapshot snap = collector.snapshot();
+  EXPECT_EQ(snap.submitted, snap.aggregated + snap.malformed + snap.dropped + snap.pending);
+}
+
 // first_error() is the error of the earliest malformed payload in the order
 // flush() claims payloads: shard by shard, each shard's queue in submit
 // order. Submits go round-robin, so payload i lands in shard i % 4 and the

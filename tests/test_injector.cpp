@@ -192,7 +192,7 @@ TEST_F(InjectorFixture, CampaignTableMentionsEveryFunction) {
 TEST_F(InjectorFixture, SpecXmlRoundTrip) {
   const RobustSpec spec = probe("strcpy", testbed::libsimc());
   const std::string doc = xml::serialize(spec.to_xml());
-  auto reparsed = RobustSpec::from_xml(xml::parse(doc).value());
+  auto reparsed = RobustSpec::from_xml(doc);
   ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
   const RobustSpec& back = reparsed.value();
   EXPECT_EQ(back.function, spec.function);
@@ -216,7 +216,7 @@ TEST_F(InjectorFixture, CampaignXmlRoundTrip) {
   FaultInjector injector(catalog, config);
   const auto result = injector.run_campaign(testbed::libsimm());
   const std::string doc = xml::serialize(result.value().to_xml());
-  auto back = CampaignResult::from_xml(xml::parse(doc).value());
+  auto back = CampaignResult::from_xml(doc);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().library, "libsimm.so.1");
   EXPECT_EQ(back.value().specs.size(), result.value().specs.size());
@@ -224,9 +224,9 @@ TEST_F(InjectorFixture, CampaignXmlRoundTrip) {
 }
 
 TEST_F(InjectorFixture, FromXmlRejectsWrongDocuments) {
-  EXPECT_FALSE(RobustSpec::from_xml(xml::parse("<other/>").value()).ok());
-  EXPECT_FALSE(RobustSpec::from_xml(xml::parse("<robust-spec/>").value()).ok());
-  EXPECT_FALSE(CampaignResult::from_xml(xml::parse("<nope/>").value()).ok());
+  EXPECT_FALSE(RobustSpec::from_xml("<other/>").ok());
+  EXPECT_FALSE(RobustSpec::from_xml("<robust-spec/>").ok());
+  EXPECT_FALSE(CampaignResult::from_xml("<nope/>").ok());
 }
 
 TEST(DeriveChecks, PointerRulesFollowVerdicts) {

@@ -63,27 +63,29 @@ TEST_F(ProfileFixture, ErrnoDistributionRecorded) {
 }
 
 TEST_F(ProfileFixture, XmlDocumentIsSelfDescribing) {
-  const xml::Node doc = to_xml(report());
-  EXPECT_EQ(doc.name(), "profile");
-  EXPECT_EQ(*doc.attr("process"), "workload-app");
-  EXPECT_EQ(*doc.attr("wrapper"), "profiling-wrapper");
+  const std::string doc = xml::serialize(to_xml(report()));
+  xml::Reader in(doc);
+  EXPECT_EQ(in.name(), "profile");
+  EXPECT_EQ(*in.attr("process"), "workload-app");
+  EXPECT_EQ(*in.attr("wrapper"), "profiling-wrapper");
   bool found_strlen = false;
-  for (const xml::Node* fn : doc.children_named("function")) {
-    if (*fn->attr("name") == "strlen") {
+  in.children([&](std::string_view name) {
+    if (name == "function" && *in.attr("name") == "strlen") {
       found_strlen = true;
       std::uint64_t calls = 0;
-      xml::AttrReader attrs(*fn);
+      xml::AttrReader attrs(in);
       attrs.num("calls", calls);
       EXPECT_TRUE(attrs.ok());
       EXPECT_EQ(calls, 10u);
     }
-  }
+  });
+  EXPECT_TRUE(in.finish(Status::success()).ok());
   EXPECT_TRUE(found_strlen);
 }
 
 TEST_F(ProfileFixture, XmlRoundTripPreservesReport) {
   const ProfileReport rep = report();
-  auto back = from_xml(xml::parse(xml::serialize(to_xml(rep))).value());
+  auto back = from_xml(xml::serialize(to_xml(rep)));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().total_calls(), rep.total_calls());
   EXPECT_EQ(back.value().total_cycles(), rep.total_cycles());
@@ -211,9 +213,11 @@ TEST(ProfileXml, RejectsSignedGarbledAndDuplicateCounts) {
            R"(<profile><errors><error errno="22" count="1"/><error errno="22" count="1"/>)"
            R"(</errors></profile>)",
        }) {
-    const auto parsed = xml::parse(doc);
-    ASSERT_TRUE(parsed.ok()) << doc;
-    EXPECT_FALSE(from_xml(parsed.value()).ok()) << doc;
+    xml::Reader in(doc);
+    ProfileReport decoded;
+    const Status verdict = from_xml(in, decoded);
+    ASSERT_TRUE(in.finish(Status::success()).ok()) << doc;
+    EXPECT_FALSE(verdict.ok()) << doc;
   }
   // The collector counts such a document malformed and folds nothing.
   fleet::FleetCollector collector({.shards = 1, .workers = 1});
@@ -225,13 +229,11 @@ TEST(ProfileXml, RejectsSignedGarbledAndDuplicateCounts) {
 
 // An errno is a signed int, as in the HFB1 twin: a negative one round-trips.
 TEST(ProfileXml, NegativeErrnoRoundTrips) {
-  const auto parsed =
-      xml::parse(R"(<profile><errors><error errno="-22" count="1"/></errors></profile>)");
-  ASSERT_TRUE(parsed.ok());
-  const auto report = from_xml(parsed.value());
+  const auto report =
+      from_xml(R"(<profile><errors><error errno="-22" count="1"/></errors></profile>)");
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_EQ(report.value().global_errnos, (std::map<int, std::uint64_t>{{-22, 1}}));
-  const auto again = from_xml(to_xml(report.value()));
+  const auto again = from_xml(xml::serialize(to_xml(report.value())));
   ASSERT_TRUE(again.ok()) << again.error().message;
   EXPECT_EQ(again.value().global_errnos, report.value().global_errnos);
 }
@@ -273,7 +275,7 @@ TEST(ProfileContained, ContainedCountSurvivesRoundTrip) {
   stats.function(1).calls = 4;
   stats.function(1).contained = 2;
   const ProfileReport rep = build_report("p", "w", stats);
-  auto back = from_xml(xml::parse(xml::serialize(to_xml(rep))).value());
+  auto back = from_xml(xml::serialize(to_xml(rep)));
   EXPECT_EQ(back.value().function("strcpy")->contained, 2u);
 }
 

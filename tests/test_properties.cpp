@@ -214,7 +214,7 @@ TEST(XmlFuzzRoundTrip, RandomTreesSurviveSerializeParse) {
     for (std::size_t i = 0; i < len; ++i) out += charset[rng.below(charset.size())];
     return out;
   };
-  // Element text is whitespace-trimmed by the parser (by design — HEALERS
+  // Element text is whitespace-trimmed by the reader (by design — HEALERS
   // documents carry no significant edge whitespace), so trimmed text is the
   // round-trippable domain.
   auto random_element_text = [&random_text](std::size_t max_len) {
@@ -242,14 +242,38 @@ TEST(XmlFuzzRoundTrip, RandomTreesSurviveSerializeParse) {
     }
   };
 
+  // The document reads back as the tree that wrote it: names, attributes,
+  // children in order, and text.
+  std::function<void(xml::Reader&, const xml::Node&)> expect_reads_as = [&](xml::Reader& in,
+                                                                            const xml::Node& node) {
+    EXPECT_EQ(in.name(), node.name());
+    for (const auto& [key, value] : node.attrs()) {
+      const std::string_view* read = in.attr(key);
+      ASSERT_NE(read, nullptr) << key;
+      EXPECT_EQ(*read, value) << key;
+    }
+    if (node.children().empty()) {
+      std::string text;
+      in.text(text);
+      EXPECT_EQ(text, node.text()) << node.name();
+      return;
+    }
+    std::size_t i = 0;
+    in.children([&](std::string_view) {
+      ASSERT_LT(i, node.children().size()) << node.name();
+      expect_reads_as(in, *node.children()[i++]);
+    });
+    EXPECT_EQ(i, node.children().size()) << node.name();
+  };
+
   for (int round = 0; round < 50; ++round) {
     xml::Node root("doc");
     grow(root, 0);
     const std::string doc = xml::serialize(root);
-    auto parsed = xml::parse(doc);
-    ASSERT_TRUE(parsed.ok()) << "round " << round << ": " << parsed.error().message << "\n"
-                             << doc;
-    EXPECT_EQ(xml::serialize(parsed.value()), doc) << "round " << round;
+    xml::Reader in(doc);
+    expect_reads_as(in, root);
+    const Status read = in.finish(Status::success());
+    ASSERT_TRUE(read.ok()) << "round " << round << ": " << read.error().message << "\n" << doc;
   }
 }
 

@@ -175,9 +175,7 @@ TEST(RepairPolicyDerivation, PolicyXmlRoundTrips) {
   const auto policy = gen::derive_repair_policy(synthetic_campaign(), testbed::libsimc());
   ASSERT_TRUE(policy.ok());
   const std::string text = xml::serialize(policy.value().to_xml());
-  const auto parsed = xml::parse(text);
-  ASSERT_TRUE(parsed.ok());
-  const auto back = gen::RepairPolicy::from_xml(parsed.value());
+  const auto back = gen::RepairPolicy::from_xml(text);
   ASSERT_TRUE(back.ok()) << back.error().message;
   EXPECT_TRUE(policy.value() == back.value());
   EXPECT_EQ(text, xml::serialize(back.value().to_xml()));
@@ -320,9 +318,7 @@ TEST(RepairDossier, XmlRoundTripKeepsRepairEvents) {
   ASSERT_EQ(dossier.repairs.size(), 1u);
   EXPECT_EQ(dossier.detector, simlib::DetectionKind::kRepair);
   const std::string text = xml::serialize(dossier.to_xml());
-  const auto parsed = xml::parse(text);
-  ASSERT_TRUE(parsed.ok());
-  const auto back = incident::from_xml(parsed.value());
+  const auto back = incident::from_xml(text);
   ASSERT_TRUE(back.ok()) << back.error().message;
   EXPECT_TRUE(dossier == back.value());
   EXPECT_EQ(back.value().repairs.size(), 1u);

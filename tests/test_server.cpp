@@ -48,9 +48,7 @@ Result<injector::CampaignResult> decode_campaign(std::string_view payload) {
   if (fleet::record::sniff(payload) == fleet::record::Kind::kCampaign) {
     return decode<injector::CampaignResult>(payload);
   }
-  auto parsed = xml::parse(payload);
-  if (!parsed.ok()) return parsed.error();
-  return injector::CampaignResult::from_xml(parsed.value());
+  return injector::CampaignResult::from_xml(payload);
 }
 
 struct ServerFixture : ::testing::Test {
@@ -306,7 +304,7 @@ TEST(ServerProtocol, RequestNumbersAreStrict) {
   EXPECT_EQ(widest.value().seed, 18446744073709551615ULL);
   const auto most_variants = DeriveRequest::decode(xml_request(R"(variants="2147483647")"));
   ASSERT_TRUE(most_variants.ok());
-  const auto again = DeriveRequest::from_xml(most_variants.value().to_xml());
+  const auto again = DeriveRequest::from_xml(xml::serialize(most_variants.value().to_xml()));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().variants, 2147483647);
 
@@ -451,6 +449,27 @@ TEST_F(ServerFixture, MalformedRequestNumbersAnswerWithErrorEnvelopes) {
   EXPECT_EQ(toolkit.probes_executed(), 0u) << "no campaign may run for an undecodable request";
 }
 
+// A megabyte of nested elements under a request is a positional error
+// answered with the error envelope, not a stack overflow.
+TEST_F(ServerFixture, DeeplyNestedRequestAnswersWithAnErrorEnvelope) {
+  std::string deep = R"(<derive-request soname="libsimm.so.1">)";
+  while (deep.size() < (1u << 20)) deep += "<a>";
+  DeriveServer server(toolkit);
+  const auto ticket = server.submit(deep);
+  server.drain();
+  const auto bytes = server.response(ticket);
+  ASSERT_NE(bytes, nullptr);
+  const auto response = DeriveResponse::decode(*bytes);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().status, ResponseStatus::kError);
+  EXPECT_NE(response.value().error.find("xml request: line 1:"), std::string::npos)
+      << response.value().error;
+  EXPECT_NE(response.value().error.find(": elements nested deeper than 64"), std::string::npos)
+      << response.value().error;
+  EXPECT_EQ(server.stats().answered_error, 1u);
+  EXPECT_EQ(toolkit.probes_executed(), 0u);
+}
+
 // The binary twin of the variants bound: an HRQ1 variants word that would
 // read as a negative int is a decode error, answered with the error
 // envelope, while INT_MAX decodes and survives the XML round trip.
@@ -464,7 +483,7 @@ TEST_F(ServerFixture, BinaryRequestVariantsMustFitTheIntField) {
   ASSERT_EQ(widest.find(word, at + 1), std::string::npos);
   const auto decoded = DeriveRequest::decode(widest);
   ASSERT_TRUE(decoded.ok());
-  const auto again = DeriveRequest::from_xml(decoded.value().to_xml());
+  const auto again = DeriveRequest::from_xml(xml::serialize(decoded.value().to_xml()));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().variants, std::numeric_limits<int>::max());
 

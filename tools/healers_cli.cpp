@@ -233,9 +233,7 @@ Result<std::string> read_file(const std::string& path) {
 Result<injector::CampaignResult> load_campaign(const std::string& path) {
   auto text = read_file(path);
   if (!text.ok()) return text.error();
-  auto doc = xml::parse(text.value());
-  if (!doc.ok()) return Error(path + ": " + doc.error().message);
-  auto campaign = injector::CampaignResult::from_xml(doc.value());
+  auto campaign = injector::CampaignResult::from_xml(text.value());
   if (!campaign.ok()) return Error(path + ": " + campaign.error().message);
   return campaign;
 }
